@@ -460,11 +460,14 @@ let run_exchange_delta ~json ~print_data ~source ~target ~mappings ~src_inst
                   end;
                   let ins, del = Smg_delta.Batch.counts batch in
                   Fmt.pr
-                    "delta: %d insert(s), %d delete(s); fired %d trigger(s),                      added %d fact(s), retracted %d, collected %d null(s)                      (%.3f ms)@.@."
+                    "delta: %d insert(s), %d delete(s); fired %d trigger(s), \
+                     added %d fact(s), retracted %d, collected %d null(s), \
+                     checked %d keyed fact(s) (%.3f ms)@.@."
                     ins del c.Smg_delta.Maintain.mc_triggers_fired
                     c.Smg_delta.Maintain.mc_facts_added
                     c.Smg_delta.Maintain.mc_facts_retracted
                     c.Smg_delta.Maintain.mc_nulls_collected
+                    c.Smg_delta.Maintain.mc_egd_checked
                     (1000. *. c.Smg_delta.Maintain.mc_seconds);
                   let out = rep.Smg_exchange.Engine.r_target in
                   if print_data then

@@ -1,13 +1,22 @@
 module Value = Smg_relational.Value
 module Schema = Smg_relational.Schema
 module Instance = Smg_relational.Instance
-module Index = Smg_relational.Index
-module Chase = Smg_cq.Chase
+module Intern = Smg_relational.Intern
+module Colstore = Smg_relational.Colstore
 module Engine = Smg_exchange.Engine
 module Plan = Smg_exchange.Plan
 module Obs = Smg_exchange.Obs
 module Stores = Engine.Stores
 module Fault = Smg_robust.Fault
+
+(* Hash tables keyed on interned tuples, hashed like the columnar
+   stores' membership tables. *)
+module Codes = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) b = a = b
+  let hash = Colstore.hash_cells
+end)
 
 (* ---- counters ----------------------------------------------------------- *)
 
@@ -23,6 +32,7 @@ type counters = {
   mc_egd_merges : int;
   mc_egd_rebuilds : int;
   mc_full_rebuilds : int;
+  mc_egd_checked : int;
   mc_seconds : float;
 }
 
@@ -39,6 +49,7 @@ let zero_counters =
     mc_egd_merges = 0;
     mc_egd_rebuilds = 0;
     mc_full_rebuilds = 0;
+    mc_egd_checked = 0;
     mc_seconds = 0.;
   }
 
@@ -55,6 +66,7 @@ let add_counters a b =
     mc_egd_merges = a.mc_egd_merges + b.mc_egd_merges;
     mc_egd_rebuilds = a.mc_egd_rebuilds + b.mc_egd_rebuilds;
     mc_full_rebuilds = a.mc_full_rebuilds + b.mc_full_rebuilds;
+    mc_egd_checked = a.mc_egd_checked + b.mc_egd_checked;
     mc_seconds = a.mc_seconds +. b.mc_seconds;
   }
 
@@ -71,8 +83,9 @@ type acc = {
   mutable a_emerge : int;
   mutable a_erebuild : int;
   mutable a_frebuild : int;
-  a_changed : (string, unit) Hashtbl.t;  (* target tables with new facts *)
+  mutable a_echecked : int;
   mutable a_keyed_retract : bool;
+  a_dedup : unit Codes.t;  (* canonical keys of multiply-fresh triggers *)
 }
 
 let fresh_acc () =
@@ -88,8 +101,9 @@ let fresh_acc () =
     a_emerge = 0;
     a_erebuild = 0;
     a_frebuild = 0;
-    a_changed = Hashtbl.create 8;
+    a_echecked = 0;
     a_keyed_retract = false;
+    a_dedup = Codes.create 8;
   }
 
 let counters_of acc seconds =
@@ -105,45 +119,72 @@ let counters_of acc seconds =
     mc_egd_merges = acc.a_emerge;
     mc_egd_rebuilds = acc.a_erebuild;
     mc_full_rebuilds = acc.a_frebuild;
+    mc_egd_checked = acc.a_echecked;
     mc_seconds = seconds;
   }
 
 (* ---- state -------------------------------------------------------------- *)
 
-(* A canonical (pre-egd) target fact with its support count: the number
-   of live (derivation, emission) pairs producing it. Facts are
-   physically shared between the per-table bucket and the derivation
-   records, so retraction is pointer-chasing, not lookups. *)
-type fact = {
-  ft_table : string;
-  ft_tuple : Value.t array;
-  mutable ft_supp : int;
-}
-
+(* A canonical (pre-egd) target table. Its facts are the rows of a
+   tracked columnar store, in creation order: a retracted fact's row is
+   tombstoned and a revived fact appended, so arena order is the
+   materialization order. Each row carries its support count: the
+   number of live (derivation, emission) pairs producing it. *)
 type facts_tbl = {
-  fb_header : string list;
-  fb_by_key : (string, fact) Hashtbl.t;
-  mutable fb_order : fact list;  (* reverse creation order; may hold dead *)
-  mutable fb_dead : int;
+  fb_name : string;
+  fb_cols : string array;
+  mutable fb_cs : Colstore.t;
+  mutable fb_supp : int array;  (* by arena row *)
+  fb_key : int array;  (* key positions; empty when unkeyed *)
+  fb_is_key : bool array;
+  mutable fb_egd : int Codes.t;
+      (* key-egd index: resolved key -> the earliest live row with it.
+         Valid while the substitution gains no binding: every full egd
+         pass rebuilds it *)
+  mutable fb_fresh : int list;  (* keyed only: rows this batch added, newest first *)
 }
 
-type deriv = { dv_facts : fact list }
+(* A recorded trigger: the fact row each emission produced. A fact is
+   only retracted once its last derivation has died, so the rows stay
+   live while the derivation does; only compaction renumbers them. *)
+type deriv = {
+  dv_tbls : facts_tbl array;  (* per emission; shared by the plan *)
+  dv_rows : int array;
+  mutable dv_mark : int;
+      (* -1 once dead, else the compaction epoch its rows are numbered in *)
+}
+
+type src_tbl = {
+  sr_name : string;
+  sr_header : string list;
+  mutable sr_store : Stores.t;
+  mutable sr_derivs : deriv list array;
+      (* by arena row: the derivations the row takes part in (dead ones
+         linger until the row is deleted or the facts compact) *)
+  mutable sr_mark : int;
+      (* arena rows before this batch's inserts: rows from here on are
+         fresh *)
+}
 
 (* How to rebuild the source tuple a scan step matched, from the
    completed env: every scan position is statically a bound slot, a
    constant, or a copy of an earlier position (the compiler covers all
    of them), so the trigger's source tuples need no storage. *)
-type cell_src = TFill of int | TLit of Value.t | TCopy of int
+type cell_src = TFill of int | TLit of int | TCopy of int
 
 type plan_info = {
   pi_plan : Plan.t;
+  pi_low : Engine.lowered;
+  pi_id : int;  (* the tgd's position: shared by its delta variants *)
   pi_stats : Obs.tstats;
-  pi_scans : (string * cell_src array) array;  (* (pred, tuple template) *)
+  pi_scans : (src_tbl * cell_src array * int array) array;
+      (* per scan: table, tuple template, scratch tuple *)
+  pi_emits : facts_tbl array;
   pi_perm : int array;
       (* slots in variable-name order: the bulk plan and its per-atom
          delta variants number slots differently (scan order differs),
-         so trigger keys are serialized through this permutation to
-         make the same logical trigger hash identically everywhere *)
+         so trigger keys are taken through this permutation to make the
+         same logical trigger hash identically everywhere *)
 }
 
 type state = {
@@ -153,16 +194,16 @@ type state = {
   ms_delta : plan_info list list;
       (* per plan, the reordered variants (scan 0 = one lhs atom each);
          stats are shared with the base plan_info *)
-  ms_src : (string, Stores.t) Hashtbl.t;
-  ms_tgt : (string, facts_tbl) Hashtbl.t;
-  ms_derivs : (string, deriv) Hashtbl.t;
-  ms_by_src : (string, string list ref) Hashtbl.t;
-  ms_null_occ : (int, int) Hashtbl.t;  (* null label -> occurrences in facts *)
-  ms_src_nulls : (int, int) Hashtbl.t;  (* null label -> occurrences in source *)
-  ms_subst : (int, Value.t) Hashtbl.t;  (* key-egd bindings over the facts *)
-  ms_keyed : (string * int list * bool array) list;
-      (* keyed target tables: (name, key positions, per-column is-key) *)
-  ms_keyed_set : (string, unit) Hashtbl.t;
+  ms_srcs : src_tbl list;  (* source schema order *)
+  ms_src : (string, src_tbl) Hashtbl.t;
+  ms_tgts : facts_tbl list;  (* target schema order *)
+  ms_keyed : facts_tbl list;
+  ms_skmemo : Engine.skmemo;
+  mutable ms_nderivs : int;  (* live derivations *)
+  mutable ms_epoch : int;  (* fact-row compactions so far *)
+  ms_null_occ : (int, int) Hashtbl.t;  (* null code -> occurrences in facts *)
+  ms_src_nulls : (int, int) Hashtbl.t;  (* null code -> occurrences in source *)
+  ms_subst : (int, int) Hashtbl.t;  (* key-egd bindings: null code -> code *)
   mutable ms_batches : int;
   mutable ms_totals : counters;
   mutable ms_poisoned : string option;
@@ -172,26 +213,6 @@ exception Internal of string
 exception Conflict of string
 exception Invalid of string  (* bad batch op: rejected before any mutation *)
 
-(* ---- skolem cells ------------------------------------------------------- *)
-
-let rec sk_arg_value env = function
-  | Plan.ASlot s -> env.(s)
-  | Plan.AConst c -> c
-  | Plan.AApp (g, nested) ->
-      Chase.skolem_term ~f:g ~args:(List.map (sk_arg_value env) nested)
-
-let emit_tuple env (em : Plan.emit) =
-  Array.map
-    (fun cell ->
-      match cell with
-      | Plan.CSlot s -> env.(s)
-      | Plan.CConst c -> c
-      | Plan.CSkolem (f, args) ->
-          Chase.skolem_term ~f ~args:(List.map (sk_arg_value env) args)
-      | Plan.CNull _ ->
-          raise (Internal "anonymous null in a skolemized plan"))
-    em.Plan.em_cells
-
 (* ---- null / fact bookkeeping -------------------------------------------- *)
 
 let bump tbl k d =
@@ -200,63 +221,160 @@ let bump tbl k d =
   if v' <= 0 then Hashtbl.remove tbl k else Hashtbl.replace tbl k v';
   (v, v')
 
-let note_src_tuple st tup d =
+let note_src_cells st cells d =
   Array.iter
-    (fun v ->
-      match v with
-      | Value.VNull k -> ignore (bump st.ms_src_nulls k d)
-      | _ -> ())
-    tup
+    (fun c -> if Intern.is_null_code c then ignore (bump st.ms_src_nulls c d))
+    cells
 
-let add_fact st acc table tup =
-  let fb =
-    match Hashtbl.find_opt st.ms_tgt table with
-    | Some fb -> fb
-    | None -> raise (Internal ("emission into unknown table " ^ table))
-  in
-  let key = Index.tuple_key tup in
-  match Hashtbl.find_opt fb.fb_by_key key with
-  | Some f ->
-      f.ft_supp <- f.ft_supp + 1;
-      f
+let grown a n fill =
+  if n <= Array.length a then a
+  else begin
+    let b = Array.make (max n (2 * Array.length a)) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+let add_fact st acc fb cells =
+  match Colstore.find_row fb.fb_cs cells with
+  | Some row ->
+      fb.fb_supp.(row) <- fb.fb_supp.(row) + 1;
+      row
   | None ->
-      let f = { ft_table = table; ft_tuple = tup; ft_supp = 1 } in
-      Hashtbl.replace fb.fb_by_key key f;
-      fb.fb_order <- f :: fb.fb_order;
+      let row =
+        match Colstore.insert fb.fb_cs cells with
+        | Some row -> row
+        | None -> raise (Internal ("fact store out of sync in " ^ fb.fb_name))
+      in
+      fb.fb_supp <- grown fb.fb_supp (row + 1) 0;
+      fb.fb_supp.(row) <- 1;
       acc.a_fadd <- acc.a_fadd + 1;
-      Hashtbl.replace acc.a_changed table ();
+      if Array.length fb.fb_key > 0 then fb.fb_fresh <- row :: fb.fb_fresh;
       Array.iter
-        (fun v ->
-          match v with
-          | Value.VNull k ->
-              let old, _ = bump st.ms_null_occ k 1 in
-              if old = 0 then acc.a_nmint <- acc.a_nmint + 1
-          | _ -> ())
-        tup;
-      f
+        (fun c ->
+          if Intern.is_null_code c then begin
+            let old, _ = bump st.ms_null_occ c 1 in
+            if old = 0 then acc.a_nmint <- acc.a_nmint + 1
+          end)
+        cells;
+      row
 
-let retract_fact st acc f =
-  let fb = Hashtbl.find st.ms_tgt f.ft_table in
-  Hashtbl.remove fb.fb_by_key (Index.tuple_key f.ft_tuple);
-  fb.fb_dead <- fb.fb_dead + 1;
+(* ---- key-egd layer ------------------------------------------------------ *)
+
+let rec resolve st c =
+  if c >= 0 then c
+  else
+    match Hashtbl.find_opt st.ms_subst c with
+    | Some c' -> resolve st c'
+    | None -> c
+
+let resolved_key st fb row =
+  let data = Colstore.data fb.fb_cs and ar = Colstore.arity fb.fb_cs in
+  Array.map (fun p -> resolve st data.((row * ar) + p)) fb.fb_key
+
+let retract_fact st acc fb row =
+  if Array.length fb.fb_key > 0 then begin
+    acc.a_keyed_retract <- true;
+    (* under a non-empty substitution another live row may share this
+       key; the retraction then recomputes the substitution, and with
+       it the index *)
+    let k = resolved_key st fb row in
+    match Codes.find_opt fb.fb_egd k with
+    | Some r when r = row -> Codes.remove fb.fb_egd k
+    | _ -> ()
+  end;
+  let cells = Colstore.row_cells fb.fb_cs row in
+  ignore (Colstore.remove fb.fb_cs cells);
   acc.a_fret <- acc.a_fret + 1;
-  if Hashtbl.mem st.ms_keyed_set f.ft_table then acc.a_keyed_retract <- true;
   Array.iter
-    (fun v ->
-      match v with
-      | Value.VNull k ->
-          let _, now = bump st.ms_null_occ k (-1) in
-          if now = 0 then acc.a_ncoll <- acc.a_ncoll + 1
-      | _ -> ())
-    f.ft_tuple
+    (fun c ->
+      if Intern.is_null_code c then begin
+        let _, now = bump st.ms_null_occ c (-1) in
+        if now = 0 then acc.a_ncoll <- acc.a_ncoll + 1
+      end)
+    cells
+
+type egd_out = { mutable merges : int; mutable src_null : bool }
+
+(* Check one fact against its table's key-egd index: the first live
+   fact with a resolved key is the group's representative, a later one
+   gets its non-key columns unified with it. A binding that hits a null
+   also occurring in the source sets [src_null] (the caller must then
+   fall back to a full rebuild: resolving the source can create
+   triggers the un-resolved enumeration never saw). Raises {!Conflict}
+   on a constant/constant clash. *)
+let egd_check st acc out fb idx row =
+  acc.a_echecked <- acc.a_echecked + 1;
+  let k = resolved_key st fb row in
+  match Codes.find_opt idx k with
+  | None -> Codes.replace idx k row
+  | Some rep ->
+      let data = Colstore.data fb.fb_cs and ar = Colstore.arity fb.fb_cs in
+      Array.iteri
+        (fun i is_key ->
+          if not is_key then begin
+            let ru = resolve st data.((rep * ar) + i)
+            and rv = resolve st data.((row * ar) + i) in
+            if ru <> rv then begin
+              let bind k other =
+                Hashtbl.replace st.ms_subst k other;
+                out.merges <- out.merges + 1;
+                acc.a_emerge <- acc.a_emerge + 1;
+                if Hashtbl.mem st.ms_src_nulls k then out.src_null <- true
+              in
+              if Intern.is_null_code ru then bind ru rv
+              else if Intern.is_null_code rv then bind rv ru
+              else
+                raise
+                  (Conflict
+                     (Printf.sprintf "key egd on %s.%s: %s vs %s" fb.fb_name
+                        fb.fb_cols.(i)
+                        (Value.to_string (Intern.value ru))
+                        (Value.to_string (Intern.value rv))))
+            end
+          end)
+        fb.fb_is_key
+
+(* Every live fact of every keyed table, into fresh indexes. *)
+let egd_full_pass st acc out =
+  List.iter
+    (fun fb ->
+      let idx = Codes.create (Colstore.count fb.fb_cs + 1) in
+      Colstore.iter_live fb.fb_cs (fun row -> egd_check st acc out fb idx row);
+      fb.fb_egd <- idx;
+      fb.fb_fresh <- [])
+    st.ms_keyed
+
+(* Only the facts this batch added, against the standing indexes: the
+   old facts already agree with each other, so this is all a full pass
+   would unify as long as it binds nothing. *)
+let egd_seed_pass st acc out =
+  List.iter
+    (fun fb ->
+      let fresh = List.rev fb.fb_fresh in
+      fb.fb_fresh <- [];
+      List.iter
+        (fun row ->
+          if Colstore.is_live fb.fb_cs row then
+            egd_check st acc out fb fb.fb_egd row)
+        fresh)
+    st.ms_keyed
+
+(* Fixpoint: a first pass (full, or seeded from the batch's facts);
+   any new binding can cascade (resolved keys elsewhere may now
+   collide), so a productive pass escalates to full passes until quiet.
+   Returns whether any binding hit a source null. *)
+let egd_fixpoint st acc ~full =
+  let out = { merges = 0; src_null = false } in
+  if full then egd_full_pass st acc out else egd_seed_pass st acc out;
+  while out.merges > 0 do
+    out.merges <- 0;
+    egd_full_pass st acc out
+  done;
+  out.src_null
 
 (* ---- derivation recording ----------------------------------------------- *)
 
-let src_key pred tup = pred ^ "\x01" ^ Index.tuple_key tup
-
-let src_tuple env tpl =
-  let n = Array.length tpl in
-  let out = Array.make n (Value.VNull 0) in
+let src_row (sr, tpl, out) env =
   Array.iteri
     (fun i c ->
       match c with
@@ -267,130 +385,139 @@ let src_tuple env tpl =
   Array.iteri
     (fun i c -> match c with TCopy p -> out.(i) <- out.(p) | _ -> ())
     tpl;
-  out
+  match Stores.find_row sr.sr_store out with
+  | Some row -> row
+  | None -> raise (Internal ("trigger over an absent tuple of " ^ sr.sr_name))
 
+(* Every trigger enumerated from a batch holds a fresh tuple, so it is
+   new — except that one with fresh tuples in several atoms is found
+   once per such atom: those are deduplicated per batch by their
+   canonical key. *)
 let record_trigger st acc pi env =
   acc.a_seen <- acc.a_seen + 1;
-  let dkey =
-    pi.pi_plan.Plan.p_name ^ "\x01"
-    ^ Index.tuple_key (Array.map (fun s -> env.(s)) pi.pi_perm)
-  in
-  if not (Hashtbl.mem st.ms_derivs dkey) then begin
-    acc.a_fired <- acc.a_fired + 1;
-    let facts =
-      List.map
-        (fun em -> add_fact st acc em.Plan.em_pred (emit_tuple env em))
-        pi.pi_plan.Plan.p_emits
+  let rows = Array.map (fun sc -> src_row sc env) pi.pi_scans in
+  let fresh = ref 0 in
+  Array.iteri
+    (fun i (sr, _, _) -> if rows.(i) >= sr.sr_mark then incr fresh)
+    pi.pi_scans;
+  let dup =
+    !fresh >= 2
+    &&
+    let k =
+      Array.init
+        (Array.length pi.pi_perm + 1)
+        (fun i -> if i = 0 then pi.pi_id else env.(pi.pi_perm.(i - 1)))
     in
-    Hashtbl.replace st.ms_derivs dkey { dv_facts = facts };
-    Array.iter
-      (fun (pred, tpl) ->
-        let sk = src_key pred (src_tuple env tpl) in
-        match Hashtbl.find_opt st.ms_by_src sk with
-        | Some l -> l := dkey :: !l
-        | None -> Hashtbl.replace st.ms_by_src sk (ref [ dkey ]))
+    Codes.mem acc.a_dedup k || (Codes.replace acc.a_dedup k (); false)
+  in
+  if not dup then begin
+    acc.a_fired <- acc.a_fired + 1;
+    let d =
+      {
+        dv_tbls = pi.pi_emits;
+        dv_rows =
+          Array.mapi
+            (fun k fb ->
+              add_fact st acc fb (Engine.emit_cells st.ms_skmemo pi.pi_low k env))
+            pi.pi_emits;
+        dv_mark = st.ms_epoch;
+      }
+    in
+    st.ms_nderivs <- st.ms_nderivs + 1;
+    Array.iteri
+      (fun i (sr, _, _) ->
+        let r = rows.(i) in
+        sr.sr_derivs <- grown sr.sr_derivs (r + 1) [];
+        sr.sr_derivs.(r) <- d :: sr.sr_derivs.(r))
       pi.pi_scans
   end
 
-let kill_src_tuple st acc pred tup =
-  note_src_tuple st tup (-1);
-  let sk = src_key pred tup in
-  match Hashtbl.find_opt st.ms_by_src sk with
-  | None -> ()
-  | Some l ->
-      Hashtbl.remove st.ms_by_src sk;
-      List.iter
-        (fun dkey ->
-          match Hashtbl.find_opt st.ms_derivs dkey with
-          | None -> ()  (* stale entry: already killed via another tuple *)
-          | Some d ->
-              Hashtbl.remove st.ms_derivs dkey;
-              List.iter
-                (fun f ->
-                  f.ft_supp <- f.ft_supp - 1;
-                  if f.ft_supp = 0 then retract_fact st acc f)
-                d.dv_facts)
-        !l
+let kill_src_row st acc sr cells row =
+  note_src_cells st cells (-1);
+  if row < Array.length sr.sr_derivs then begin
+    let ds = sr.sr_derivs.(row) in
+    sr.sr_derivs.(row) <- [];
+    List.iter
+      (fun d ->
+        if d.dv_mark >= 0 then begin
+          d.dv_mark <- -1;
+          st.ms_nderivs <- st.ms_nderivs - 1;
+          Array.iteri
+            (fun k r ->
+              let fb = d.dv_tbls.(k) in
+              fb.fb_supp.(r) <- fb.fb_supp.(r) - 1;
+              if fb.fb_supp.(r) = 0 then retract_fact st acc fb r)
+            d.dv_rows
+        end)
+      ds
+  end
 
-(* ---- key-egd layer ------------------------------------------------------ *)
-
-let resolve st v =
-  let rec go v =
-    match v with
-    | Value.VNull k -> (
-        match Hashtbl.find_opt st.ms_subst k with Some v' -> go v' | None -> v)
-    | _ -> v
-  in
-  go v
-
-(* One grouping pass over the given keyed tables: facts agreeing on
-   their resolved key get their non-key columns unified. Returns the
-   number of new bindings; [`Src_null] reports whether any binding hit
-   a null that also occurs in the source (the caller must then fall
-   back to a full rebuild: resolving the source can create triggers the
-   un-resolved enumeration never saw). Raises {!Conflict} on a
-   constant/constant clash. *)
-let egd_tables_pass st acc tables =
-  let merges = ref 0 and src_null = ref false in
-  let unify table col u v =
-    let ru = resolve st u and rv = resolve st v in
-    if not (Value.equal ru rv) then
-      match (ru, rv) with
-      | Value.VNull k, other | other, Value.VNull k ->
-          Hashtbl.replace st.ms_subst k other;
-          incr merges;
-          acc.a_emerge <- acc.a_emerge + 1;
-          if Hashtbl.mem st.ms_src_nulls k then src_null := true
-      | _ ->
-          raise
-            (Conflict
-               (Printf.sprintf "key egd on %s.%s: %s vs %s" table col
-                  (Value.to_string ru) (Value.to_string rv)))
-  in
-  List.iter
-    (fun (name, keypos, is_key) ->
-      match Hashtbl.find_opt st.ms_tgt name with
-      | None -> ()
-      | Some fb ->
-          let header = Array.of_list fb.fb_header in
-          let reps = Hashtbl.create (Hashtbl.length fb.fb_by_key + 1) in
-          List.iter
-            (fun f ->
-              if f.ft_supp > 0 then begin
-                let rtup = Array.map (resolve st) f.ft_tuple in
-                let k =
-                  Index.key_of_values (List.map (fun p -> rtup.(p)) keypos)
-                in
-                match Hashtbl.find_opt reps k with
-                | None -> Hashtbl.replace reps k rtup
-                | Some rep ->
-                    Array.iteri
-                      (fun i v ->
-                        if not is_key.(i) then unify name header.(i) rep.(i) v)
-                      rtup
-              end)
-            (List.rev fb.fb_order)
-    )
-    tables;
-  (!merges, !src_null)
-
-(* Fixpoint: a seeded pass over the tables that changed; any new
-   binding can cascade through unchanged tables (their resolved keys
-   may now collide), so a productive seed pass escalates to full
-   passes until quiet. *)
-let egd_fixpoint st acc ~seed =
-  let src_null = ref false in
-  let m0, s0 = egd_tables_pass st acc seed in
-  src_null := s0;
-  if m0 > 0 then begin
-    let continue_ = ref true in
-    while !continue_ do
-      let m, s = egd_tables_pass st acc st.ms_keyed in
-      if s then src_null := true;
-      if m = 0 then continue_ := false
-    done
-  end;
-  !src_null
+(* Retracted facts leave tombstoned rows behind. Once those outnumber
+   the live facts and derivations, each fact table with dead rows is
+   rebuilt from its live rows (arena order kept) and the rows that
+   derivations and egd indexes hold are renumbered; the same walk drops
+   dead derivations from the source rows' lists. Amortized O(1) per
+   retraction, and memory stays proportional to the live state. *)
+let compact_facts st =
+  let count f = List.fold_left (fun n fb -> n + f fb.fb_cs) 0 st.ms_tgts in
+  if count Colstore.dead > max 1024 (st.ms_nderivs + count Colstore.count)
+  then begin
+    let remaps =
+      List.filter_map
+        (fun fb ->
+          let cs = fb.fb_cs in
+          if Colstore.dead cs = 0 then None
+          else begin
+            let remap = Array.make (Colstore.rows cs) (-1) in
+            let ncs =
+              Colstore.create ~shards:1 ~arity:(Colstore.arity cs)
+                (Colstore.count cs)
+            in
+            let supp = Array.make (max 64 (Colstore.count cs)) 0 in
+            Colstore.iter_live cs (fun row ->
+                match Colstore.insert ncs (Colstore.row_cells cs row) with
+                | Some r ->
+                    remap.(row) <- r;
+                    supp.(r) <- fb.fb_supp.(row)
+                | None -> raise (Internal ("duplicate fact in " ^ fb.fb_name)));
+            fb.fb_cs <- ncs;
+            fb.fb_supp <- supp;
+            Codes.filter_map_inplace
+              (fun _ row -> if remap.(row) < 0 then None else Some remap.(row))
+              fb.fb_egd;
+            Some (fb, remap)
+          end)
+        st.ms_tgts
+    in
+    st.ms_epoch <- st.ms_epoch + 1;
+    let renumber d =
+      if d.dv_mark <> st.ms_epoch then begin
+        d.dv_mark <- st.ms_epoch;
+        Array.iteri
+          (fun k r ->
+            match List.assq_opt d.dv_tbls.(k) remaps with
+            | Some remap -> d.dv_rows.(k) <- remap.(r)
+            | None -> ())
+          d.dv_rows
+      end
+    in
+    List.iter
+      (fun sr ->
+        Array.iteri
+          (fun i ds ->
+            if ds <> [] then
+              sr.sr_derivs.(i) <-
+                List.filter
+                  (fun d ->
+                    d.dv_mark >= 0
+                    && begin
+                         renumber d;
+                         true
+                       end)
+                  ds)
+          sr.sr_derivs)
+      st.ms_srcs
+  end
 
 (* ---- loading / rebuilds ------------------------------------------------- *)
 
@@ -405,14 +532,16 @@ let perm_of (p : Plan.t) =
     idx;
   idx
 
-let scan_template source (sc : Plan.scan) =
-  let tbl = Schema.find_table_exn source sc.Plan.sc_pred in
-  let arity = List.length tbl.Schema.columns in
+let scan_template srcs (sc : Plan.scan) =
+  let sr = Hashtbl.find srcs sc.Plan.sc_pred in
+  let arity = List.length sr.sr_header in
   let tpl = Array.make arity (TCopy (-1)) in
   List.iter
     (fun (pos, b) ->
       tpl.(pos) <-
-        (match b with Plan.Slot s -> TFill s | Plan.Const c -> TLit c))
+        (match b with
+        | Plan.Slot s -> TFill s
+        | Plan.Const c -> TLit (Intern.code c)))
     sc.Plan.sc_eqs;
   List.iter (fun (pos, s) -> tpl.(pos) <- TFill s) sc.Plan.sc_binds;
   List.iter (fun (pos, p0) -> tpl.(pos) <- TCopy p0) sc.Plan.sc_selfeqs;
@@ -421,92 +550,86 @@ let scan_template source (sc : Plan.scan) =
       | TCopy -1 -> raise (Internal ("uncovered scan position in " ^ sc.Plan.sc_pred))
       | _ -> ())
     tpl;
-  (sc.Plan.sc_pred, tpl)
+  (sr, tpl, Array.make arity 0)
+
+let empty_facts fb =
+  fb.fb_cs <-
+    Colstore.create ~shards:1 ~arity:(max 1 (Array.length fb.fb_cols)) 64;
+  fb.fb_supp <- Array.make 64 0;
+  fb.fb_egd <- Codes.create 16;
+  fb.fb_fresh <- []
 
 (* Clear every container and re-derive everything from [inst] with a
    full (delta-free) enumeration of each plan. *)
 let load st acc inst =
-  Hashtbl.reset st.ms_src;
-  Hashtbl.reset st.ms_tgt;
-  Hashtbl.reset st.ms_derivs;
-  Hashtbl.reset st.ms_by_src;
   Hashtbl.reset st.ms_null_occ;
   Hashtbl.reset st.ms_src_nulls;
   Hashtbl.reset st.ms_subst;
+  st.ms_nderivs <- 0;
   List.iter
-    (fun (tbl : Schema.table) ->
-      let header = header_of tbl in
-      let r = Instance.relation_or_empty inst tbl.Schema.tbl_name ~header in
-      List.iter (fun tup -> note_src_tuple st tup 1) r.Instance.tuples;
-      Hashtbl.replace st.ms_src tbl.Schema.tbl_name
-        (Stores.of_tuples ~shards:st.ms_shards ~header r.Instance.tuples))
-    st.ms_compiled.Engine.c_source.Schema.tables;
-  List.iter
-    (fun (tbl : Schema.table) ->
-      Hashtbl.replace st.ms_tgt tbl.Schema.tbl_name
-        {
-          fb_header = header_of tbl;
-          fb_by_key = Hashtbl.create 64;
-          fb_order = [];
-          fb_dead = 0;
-        })
-    st.ms_compiled.Engine.c_target.Schema.tables;
-  let lookup pred = Hashtbl.find st.ms_src pred in
+    (fun sr ->
+      let r =
+        Instance.relation_or_empty inst sr.sr_name ~header:sr.sr_header
+      in
+      sr.sr_store <-
+        Stores.of_tuples ~shards:st.ms_shards ~header:sr.sr_header
+          r.Instance.tuples;
+      Stores.iter_live sr.sr_store (fun cells -> note_src_cells st cells 1);
+      sr.sr_derivs <- Array.make (Stores.rows sr.sr_store) [];
+      sr.sr_mark <- max_int)
+    st.ms_srcs;
+  List.iter empty_facts st.ms_tgts;
+  let lookup pred = (Hashtbl.find st.ms_src pred).sr_store in
   List.iter
     (fun pi ->
       let (), dt =
         Obs.time (fun () ->
-            Engine.enumerate ~src:lookup pi.pi_plan pi.pi_stats
+            Engine.enumerate ~src:lookup pi.pi_low pi.pi_stats
               ~sink:(fun env -> record_trigger st acc pi env))
       in
       pi.pi_stats.Obs.st_seconds <- pi.pi_stats.Obs.st_seconds +. dt)
     st.ms_plans
 
+(* Live rows decoded, in arena order. *)
+let decoded cs =
+  List.rev
+    (Colstore.fold_live cs
+       (fun tl row -> Intern.decode_tuple (Colstore.row_cells cs row) :: tl)
+       [])
+
 let source st =
   List.fold_left
-    (fun acc (tbl : Schema.table) ->
-      match Hashtbl.find_opt st.ms_src tbl.Schema.tbl_name with
-      | None -> acc
-      | Some s ->
-          if Stores.count s = 0 then acc
-          else
-            Instance.set acc tbl.Schema.tbl_name
-              { Instance.header = Stores.header s; tuples = Stores.tuples s })
-    Instance.empty st.ms_compiled.Engine.c_source.Schema.tables
+    (fun acc sr ->
+      if Stores.count sr.sr_store = 0 then acc
+      else
+        Instance.set acc sr.sr_name
+          { Instance.header = sr.sr_header; tuples = Stores.tuples sr.sr_store })
+    Instance.empty st.ms_srcs
 
 (* The source with the current substitution applied and duplicates
    folded — what the bulk engine would chase after rewriting. Only used
    by the full-rebuild fallback. *)
 let resolved_source st =
   List.fold_left
-    (fun acc (tbl : Schema.table) ->
-      match Hashtbl.find_opt st.ms_src tbl.Schema.tbl_name with
-      | None -> acc
-      | Some s ->
-          let seen = Hashtbl.create 64 in
-          let tuples =
-            List.filter_map
-              (fun tup ->
-                let tup' = Array.map (resolve st) tup in
-                let k = Index.tuple_key tup' in
-                if Hashtbl.mem seen k then None
-                else begin
-                  Hashtbl.replace seen k ();
-                  Some tup'
-                end)
-              (Stores.tuples s)
-          in
-          if tuples = [] then acc
-          else
-            Instance.set acc tbl.Schema.tbl_name
-              { Instance.header = Stores.header s; tuples })
-    Instance.empty st.ms_compiled.Engine.c_source.Schema.tables
+    (fun acc sr ->
+      let cs =
+        Colstore.create ~shards:1
+          ~arity:(max 1 (List.length sr.sr_header))
+          (Stores.count sr.sr_store)
+      in
+      Stores.iter_live sr.sr_store (fun cells ->
+          ignore (Colstore.insert cs (Array.map (resolve st) cells)));
+      if Colstore.count cs = 0 then acc
+      else
+        Instance.set acc sr.sr_name
+          { Instance.header = sr.sr_header; tuples = decoded cs })
+    Instance.empty st.ms_srcs
 
 (* Hash indexes the delta variants will probe, built outside the
    latency-sensitive apply path. [load] replaces the stores, so this
    runs after every (re)load. *)
 let prewarm_variants st =
-  let lookup pred = Hashtbl.find st.ms_src pred in
+  let lookup pred = (Hashtbl.find st.ms_src pred).sr_store in
   List.iter
     (List.iter (fun vi -> Engine.prewarm ~src:lookup vi.pi_plan))
     st.ms_delta
@@ -519,7 +642,7 @@ let rec full_rebuild st acc =
   acc.a_frebuild <- acc.a_frebuild + 1;
   let inst = resolved_source st in
   load st acc inst;
-  if egd_fixpoint st acc ~seed:st.ms_keyed then full_rebuild st acc
+  if egd_fixpoint st acc ~full:true then full_rebuild st acc
   else prewarm_variants st
 
 (* ---- public construction ------------------------------------------------ *)
@@ -528,25 +651,30 @@ let prepare ?card ~source ~target ~mappings () =
   Engine.compile ?card ~laconic:false ~source ~target
     ~mappings:(Skolemize.tgds mappings) ()
 
-let keyed_meta (target : Schema.t) =
-  List.filter_map
-    (fun (tbl : Schema.table) ->
-      if tbl.Schema.key = [] then None
-      else begin
-        let header = Array.of_list (header_of tbl) in
-        let keypos =
-          List.map
-            (fun k ->
-              let rec find i = if header.(i) = k then i else find (i + 1) in
-              find 0)
-            tbl.Schema.key
-        in
-        let is_key =
-          Array.map (fun c -> List.mem c tbl.Schema.key) header
-        in
-        Some (tbl.Schema.tbl_name, keypos, is_key)
-      end)
-    target.Schema.tables
+let facts_of (tbl : Schema.table) =
+  let cols = Array.of_list (header_of tbl) in
+  let fb_key =
+    Array.of_list
+      (List.map
+         (fun k ->
+           let rec find i = if cols.(i) = k then i else find (i + 1) in
+           find 0)
+         tbl.Schema.key)
+  in
+  let fb =
+    {
+      fb_name = tbl.Schema.tbl_name;
+      fb_cols = cols;
+      fb_cs = Colstore.create ~shards:1 ~arity:1 0;
+      fb_supp = [||];
+      fb_key;
+      fb_is_key = Array.map (fun c -> List.mem c tbl.Schema.key) cols;
+      fb_egd = Codes.create 1;
+      fb_fresh = [];
+    }
+  in
+  empty_facts fb;
+  fb
 
 let init ?shards compiled inst =
   if compiled.Engine.c_laconic then
@@ -559,54 +687,70 @@ let init ?shards compiled inst =
       "delta maintenance requires skolemized plans (Maintain.prepare): a \
        plan still mints anonymous nulls"
   else begin
-    let source_schema = compiled.Engine.c_source in
-    let target_schema = compiled.Engine.c_target in
-    let keyed = keyed_meta target_schema in
-    let keyed_set = Hashtbl.create 8 in
-    List.iter (fun (n, _, _) -> Hashtbl.replace keyed_set n ()) keyed;
+    let shards = Engine.resolve_shards ?shards () in
+    let srcs =
+      List.map
+        (fun (tbl : Schema.table) ->
+          let header = header_of tbl in
+          {
+            sr_name = tbl.Schema.tbl_name;
+            sr_header = header;
+            sr_store = Stores.of_tuples ~shards ~header [];
+            sr_derivs = [||];
+            sr_mark = max_int;
+          })
+        compiled.Engine.c_source.Schema.tables
+    in
+    let src = Hashtbl.create 16 in
+    List.iter (fun sr -> Hashtbl.replace src sr.sr_name sr) srcs;
+    let tgts = List.map facts_of compiled.Engine.c_target.Schema.tables in
+    let tgt = Hashtbl.create 16 in
+    List.iter (fun fb -> Hashtbl.replace tgt fb.fb_name fb) tgts;
     match
-      let info stats (p : Plan.t) =
+      let info id stats (p : Plan.t) =
         {
           pi_plan = p;
+          pi_low = Engine.lower p;
+          pi_id = id;
           pi_stats = stats;
           pi_scans =
+            Array.of_list (List.map (scan_template src) p.Plan.p_scans);
+          pi_emits =
             Array.of_list
-              (List.map (scan_template source_schema) p.Plan.p_scans);
+              (List.map
+                 (fun (em : Plan.emit) ->
+                   match Hashtbl.find_opt tgt em.Plan.em_pred with
+                   | Some fb -> fb
+                   | None ->
+                       raise (Internal ("emission into unknown table " ^ em.Plan.em_pred)))
+                 p.Plan.p_emits);
           pi_perm = perm_of p;
         }
       in
       let plans =
-        List.map (fun p -> info (Obs.fresh_tstats ()) p) compiled.Engine.c_plans
+        List.mapi (fun i p -> info i (Obs.fresh_tstats ()) p) compiled.Engine.c_plans
       in
       let delta_infos =
         List.map2
-          (fun pi variants -> List.map (info pi.pi_stats) variants)
+          (fun pi variants -> List.map (info pi.pi_id pi.pi_stats) variants)
           plans compiled.Engine.c_delta
       in
       let st =
         {
           ms_compiled = compiled;
-          ms_shards =
-            (match shards with
-            | Some s -> max 1 s
-            | None -> (
-                match Sys.getenv_opt "SMG_SHARDS" with
-                | Some s -> (
-                    match int_of_string_opt (String.trim s) with
-                    | Some v when v > 0 -> v
-                    | _ -> 1)
-                | None -> 1));
+          ms_shards = shards;
           ms_plans = plans;
           ms_delta = delta_infos;
-          ms_src = Hashtbl.create 16;
-          ms_tgt = Hashtbl.create 16;
-          ms_derivs = Hashtbl.create 1024;
-          ms_by_src = Hashtbl.create 1024;
+          ms_srcs = srcs;
+          ms_src = src;
+          ms_tgts = tgts;
+          ms_keyed = List.filter (fun fb -> Array.length fb.fb_key > 0) tgts;
+          ms_skmemo = Engine.skolem_memo ();
+          ms_nderivs = 0;
+          ms_epoch = 0;
           ms_null_occ = Hashtbl.create 256;
           ms_src_nulls = Hashtbl.create 16;
           ms_subst = Hashtbl.create 16;
-          ms_keyed = keyed;
-          ms_keyed_set = keyed_set;
           ms_batches = 0;
           ms_totals = zero_counters;
           ms_poisoned = None;
@@ -615,7 +759,7 @@ let init ?shards compiled inst =
       let acc = fresh_acc () in
       let t0 = Unix.gettimeofday () in
       load st acc inst;
-      if egd_fixpoint st acc ~seed:st.ms_keyed then full_rebuild st acc
+      if egd_fixpoint st acc ~full:true then full_rebuild st acc
       else prewarm_variants st;
       st.ms_totals <-
         add_counters st.ms_totals
@@ -640,14 +784,27 @@ let validate st ops =
       in
       match Hashtbl.find_opt st.ms_src pred with
       | None -> raise (Invalid (Printf.sprintf "unknown source table %s" pred))
-      | Some s ->
-          if Array.length tup <> List.length (Stores.header s) then
+      | Some sr ->
+          let n = List.length sr.sr_header in
+          if Array.length tup <> n then
             raise
               (Invalid
-                 (Printf.sprintf "%s expects %d values, got %d" pred
-                    (List.length (Stores.header s))
+                 (Printf.sprintf "%s expects %d values, got %d" pred n
                     (Array.length tup))))
     ops
+
+let group_by_table ops pick =
+  let groups : (string, int array list ref) Hashtbl.t = Hashtbl.create 8 in
+  List.iter
+    (fun op ->
+      match pick op with
+      | Some (pred, cells) -> (
+          match Hashtbl.find_opt groups pred with
+          | Some l -> l := cells :: !l
+          | None -> Hashtbl.replace groups pred (ref [ cells ]))
+      | None -> ())
+    ops;
+  groups
 
 let apply ?fault st batch =
   match st.ms_poisoned with
@@ -663,53 +820,43 @@ let apply ?fault st batch =
         (* deletes first, then inserts: a tuple both deleted and
            inserted in one batch ends up present. Deletes are grouped
            per table so each store is swept once per batch, not once
-           per tuple. *)
-        let doomed : (string, Value.t array list ref) Hashtbl.t =
-          Hashtbl.create 8
+           per tuple; a tuple with a constant never interned was never
+           stored. *)
+        let doomed =
+          group_by_table batch (function
+            | Batch.Delete (pred, tup) ->
+                Option.map (fun cells -> (pred, cells)) (Intern.find_tuple tup)
+            | Batch.Insert _ -> None)
         in
-        List.iter
-          (fun op ->
-            match op with
-            | Batch.Delete (pred, tup) -> (
-                match Hashtbl.find_opt doomed pred with
-                | Some l -> l := tup :: !l
-                | None -> Hashtbl.replace doomed pred (ref [ tup ]))
-            | Batch.Insert _ -> ())
-          batch;
         Hashtbl.iter
           (fun pred l ->
-            let s = Hashtbl.find st.ms_src pred in
-            let removed = Stores.remove_many s (List.rev !l) in
+            let sr = Hashtbl.find st.ms_src pred in
             List.iter
-              (fun tup ->
+              (fun (cells, row) ->
                 acc.a_src_del <- acc.a_src_del + 1;
-                kill_src_tuple st acc pred tup)
-              removed)
+                kill_src_row st acc sr cells row)
+              (Stores.remove_many sr.sr_store (List.rev !l)))
           doomed;
-        let fresh : (string, Value.t array list ref) Hashtbl.t =
-          Hashtbl.create 8
-        in
-        List.iter
-          (fun op ->
-            match op with
+        List.iter (fun sr -> sr.sr_mark <- Stores.rows sr.sr_store) st.ms_srcs;
+        let fresh =
+          group_by_table batch (function
             | Batch.Insert (pred, tup) ->
-                let s = Hashtbl.find st.ms_src pred in
-                if Stores.insert s tup then begin
+                let sr = Hashtbl.find st.ms_src pred in
+                let cells = Intern.code_tuple tup in
+                if Stores.insert sr.sr_store cells <> None then begin
                   acc.a_src_ins <- acc.a_src_ins + 1;
-                  note_src_tuple st tup 1;
-                  match Hashtbl.find_opt fresh pred with
-                  | Some l -> l := tup :: !l
-                  | None -> Hashtbl.replace fresh pred (ref [ tup ])
+                  note_src_cells st cells 1;
+                  Some (pred, cells)
                 end
-            | Batch.Delete _ -> ())
-          batch;
+                else None
+            | Batch.Delete _ -> None)
+        in
         (* one reordered variant per lhs atom, each driven from the
            tuples newly inserted into that atom's table: every new
            trigger contains at least one fresh tuple, so leading with
            the delta covers them all without re-running the bulk plan's
-           join prefix. A trigger with fresh tuples in several atoms is
-           found once per such atom; the canonical dkey dedups it. *)
-        let lookup pred = Hashtbl.find st.ms_src pred in
+           join prefix *)
+        let lookup pred = (Hashtbl.find st.ms_src pred).sr_store in
         List.iter2
           (fun pi variants ->
             let (), dt =
@@ -722,40 +869,30 @@ let apply ?fault st batch =
                           match Hashtbl.find_opt fresh sc0.Plan.sc_pred with
                           | Some ts ->
                               Engine.enumerate ~src:lookup
-                                ~delta:(0, List.rev !ts) vi.pi_plan
-                                vi.pi_stats
+                                ~delta:(0, List.rev !ts) vi.pi_low vi.pi_stats
                                 ~sink:(fun env -> record_trigger st acc vi env)
                           | None -> ()))
                     variants)
             in
             pi.pi_stats.Obs.st_seconds <- pi.pi_stats.Obs.st_seconds +. dt)
           st.ms_plans st.ms_delta;
-        (* the stores log inserts for the bulk engine's semi-naive
-           rounds; the maintainer re-fires from its own batch, so the
-           log would only grow without bound *)
-        Hashtbl.iter
-          (fun pred _ -> Stores.clear_delta (Hashtbl.find st.ms_src pred))
-          fresh;
         if st.ms_keyed <> [] then begin
-          if acc.a_keyed_retract && Hashtbl.length st.ms_subst > 0 then begin
-            (* which merges the retracted facts justified is ambiguous:
-               recompute the substitution over the surviving facts *)
-            Hashtbl.reset st.ms_subst;
-            acc.a_erebuild <- acc.a_erebuild + 1;
-            if egd_fixpoint st acc ~seed:st.ms_keyed then full_rebuild st acc
-          end
-          else begin
-            (* retraction alone never creates a key collision, so the
-               seed is exactly the keyed tables with new facts *)
-            let seed =
-              List.filter
-                (fun (n, _, _) -> Hashtbl.mem acc.a_changed n)
-                st.ms_keyed
-            in
-            if seed <> [] then
-              if egd_fixpoint st acc ~seed then full_rebuild st acc
-          end
-        end
+          let src_null =
+            if acc.a_keyed_retract && Hashtbl.length st.ms_subst > 0 then begin
+              (* which merges the retracted facts justified is ambiguous:
+                 recompute the substitution over the surviving facts *)
+              Hashtbl.reset st.ms_subst;
+              acc.a_erebuild <- acc.a_erebuild + 1;
+              egd_fixpoint st acc ~full:true
+            end
+            else
+              (* retraction alone never creates a key collision: only
+                 the batch's new facts need checking *)
+              egd_fixpoint st acc ~full:false
+          in
+          if src_null then full_rebuild st acc
+        end;
+        compact_facts st
       with
       | () ->
           st.ms_batches <- st.ms_batches + 1;
@@ -774,35 +911,27 @@ let apply ?fault st batch =
 
 let target st =
   List.fold_left
-    (fun acc (tbl : Schema.table) ->
-      match Hashtbl.find_opt st.ms_tgt tbl.Schema.tbl_name with
-      | None -> acc
-      | Some fb ->
-          let live =
-            List.filter (fun f -> f.ft_supp > 0) (List.rev fb.fb_order)
+    (fun acc fb ->
+      let cs =
+        if Hashtbl.length st.ms_subst = 0 then fb.fb_cs
+        else begin
+          (* resolved facts can coincide: fold them, first one wins *)
+          let cs =
+            Colstore.create ~shards:1 ~arity:(Colstore.arity fb.fb_cs)
+              (Colstore.count fb.fb_cs)
           in
-          if fb.fb_dead > 0 then begin
-            fb.fb_order <- List.rev live;
-            fb.fb_dead <- 0
-          end;
-          let seen = Hashtbl.create (List.length live + 1) in
-          let tuples =
-            List.filter_map
-              (fun f ->
-                let tup = Array.map (resolve st) f.ft_tuple in
-                let k = Index.tuple_key tup in
-                if Hashtbl.mem seen k then None
-                else begin
-                  Hashtbl.replace seen k ();
-                  Some tup
-                end)
-              live
-          in
-          if tuples = [] then acc
-          else
-            Instance.set acc tbl.Schema.tbl_name
-              { Instance.header = fb.fb_header; tuples })
-    Instance.empty st.ms_compiled.Engine.c_target.Schema.tables
+          Colstore.iter_live fb.fb_cs (fun row ->
+              ignore
+                (Colstore.insert cs
+                   (Array.map (resolve st) (Colstore.row_cells fb.fb_cs row))));
+          cs
+        end
+      in
+      if Colstore.count cs = 0 then acc
+      else
+        Instance.set acc fb.fb_name
+          { Instance.header = Array.to_list fb.fb_cols; tuples = decoded cs })
+    Instance.empty st.ms_tgts
 
 let report st =
   {
@@ -817,8 +946,7 @@ let report st =
     r_sweep_dropped = 0;
     r_seconds = st.ms_totals.mc_seconds;
     r_shards =
-      Stores.shard_view
-        (Hashtbl.fold (fun _ s acc -> s :: acc) st.ms_src []);
+      Stores.shard_view (List.map (fun sr -> sr.sr_store) st.ms_srcs);
   }
 
 let totals st = st.ms_totals
@@ -826,6 +954,6 @@ let batches st = st.ms_batches
 
 let live_stats st =
   let facts =
-    Hashtbl.fold (fun _ fb n -> n + Hashtbl.length fb.fb_by_key) st.ms_tgt 0
+    List.fold_left (fun n fb -> n + Colstore.count fb.fb_cs) 0 st.ms_tgts
   in
-  (facts, Hashtbl.length st.ms_derivs, Hashtbl.length st.ms_null_occ)
+  (facts, st.ms_nderivs, Hashtbl.length st.ms_null_occ)

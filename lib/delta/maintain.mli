@@ -15,12 +15,21 @@
       source tuples, each death decrements the support of the facts it
       produced, and a fact (and any labelled null left without a fact)
       vanishes when its support reaches zero;
-    - the egd substitution is extended incrementally on insert-only
-      batches; when a retraction touches a keyed table, rolled-back
-      merges are ambiguous, so the substitution is recomputed from the
-      (small) canonical keyed tables — and if a merge ever binds a null
-      that occurs in the source itself, the whole state is rebuilt from
-      the resolved source, the engine's own semantics.
+    - each keyed target table keeps an index from a live fact's
+      resolved key to the group's first fact, so the key-egd check of
+      a batch probes only the facts the batch added — O(batch); a probe
+      that binds a null escalates to full passes over the keyed
+      tables, which rebuild the indexes. When a retraction touches a
+      keyed table under a non-empty substitution, rolled-back merges
+      are ambiguous, so the substitution is recomputed from the
+      canonical keyed tables — and if a merge ever binds a null that
+      occurs in the source itself, the whole state is rebuilt from the
+      resolved source, the engine's own semantics.
+
+    All bookkeeping — facts, derivations, the source-to-derivation
+    index, null occurrences, egd groups — is keyed on interned codes
+    ({!Smg_relational.Intern}); values are decoded only when the target
+    or source is materialized.
 
     The maintained target is homomorphically equivalent to a full
     re-chase of the current source, and its materialization order is a
@@ -39,6 +48,9 @@ type counters = {
   mc_egd_merges : int;  (** substitution bindings added *)
   mc_egd_rebuilds : int;  (** substitution recomputations (retractions) *)
   mc_full_rebuilds : int;  (** whole-state rebuilds (source-null merge) *)
+  mc_egd_checked : int;
+      (** facts the key-egd layer examined: the batch's new keyed facts
+          on the incremental path, every live keyed fact per full pass *)
   mc_seconds : float;  (** wall-clock inside {!apply} *)
 }
 
@@ -66,7 +78,8 @@ val init :
   (state, string) result
 (** Build the maintained state by a full (bulk) derivation-recording
     pass. [shards] sets the hash-partition count of the maintained
-    source stores' membership tables (default: [SMG_SHARDS] env var,
+    source stores' membership tables (resolved by
+    {!Smg_exchange.Engine.resolve_shards}: default [SMG_SHARDS] env var,
     else 1); it is invisible to the maintained output. [Error] on a
     key-egd constant/constant conflict, on laconic plans, or on plans
     that still mint anonymous nulls (i.e. the compiled value did not

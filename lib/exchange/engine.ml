@@ -33,6 +33,11 @@ let index_threshold = 64
 
 (* ---- engine state ------------------------------------------------------- *)
 
+(* (skolem fn, interned arg codes) -> interned term code: a pure cache
+   over [Chase.skolem_term] (deterministic, append-only), so the hot
+   loops skip its rendered-string key and mutex *)
+type skmemo = (string * int list, int) Hashtbl.t
+
 type t = {
   e_src : (string, store) Hashtbl.t;
   e_lazy : (string, string list * Value.t array list) Hashtbl.t;
@@ -45,11 +50,9 @@ type t = {
   e_tgt : (string, store) Hashtbl.t;
   e_target_schema : Schema.t;
   e_nshards : int;
-  e_skmemo : (string * int list, int) Hashtbl.t;
-      (* (skolem fn, interned arg codes) -> interned term code. A pure
-         cache over [Chase.skolem_term] (deterministic, append-only), so
-         the hot loops skip its rendered-string key and mutex; touched
-         only by [satisfied]/[fire], which run on the caller domain. *)
+  e_skmemo : skmemo;
+      (* touched only by [satisfied]/[fire], which run on the caller
+         domain *)
   mutable e_next_null : int;  (* next label in the reserved block *)
   mutable e_null_limit : int;  (* last label of the reserved block *)
 }
@@ -356,24 +359,24 @@ let probe_iter ?(cache = true) st (cols : int array) (codes : int array) ~tick
    chase — then caches its code keyed by the interned argument codes,
    so recurrences never render the term string again. Caller-domain
    only, like null minting. *)
-let rec skolem_app e f codes =
-  match Hashtbl.find_opt e.e_skmemo (f, codes) with
+let rec skolem_app memo f codes =
+  match Hashtbl.find_opt memo (f, codes) with
   | Some c -> c
   | None ->
       let c =
         Intern.code
           (Smg_cq.Chase.skolem_term ~f ~args:(List.map Intern.value codes))
       in
-      Hashtbl.add e.e_skmemo (f, codes) c;
+      Hashtbl.add memo (f, codes) c;
       c
 
-and sk_code e env = function
+and sk_code memo env = function
   | SkSlot s -> env.(s)
   | SkConst c -> c
-  | SkApp (g, nested) -> skolem_app e g (List.map (sk_code e env) nested)
+  | SkApp (g, nested) -> skolem_app memo g (List.map (sk_code memo env) nested)
 
-let skolem_cell_code e env f args =
-  skolem_app e f (List.map (sk_code e env) args)
+let skolem_cell_code memo env f args =
+  skolem_app memo f (List.map (sk_code memo env) args)
 
 (* no interned code is [min_int]: free sentinel for unbound wildcards *)
 let unbound = min_int
@@ -392,7 +395,7 @@ let satisfied ?(cache = true) e (ip : iplan) (env : int array)
     match cell with
     | IkSlot s -> env.(s)
     | IkConst c -> c
-    | IkSkolem (f, args) -> skolem_cell_code e env f args
+    | IkSkolem (f, args) -> skolem_cell_code e.e_skmemo env f args
     | IkEx x ->
         (* probe positions are statically known to be bound *)
         assert (exenv.(x) <> unbound);
@@ -418,7 +421,7 @@ let satisfied ?(cache = true) e (ip : iplan) (env : int array)
         (match ck.ic_cells.(pos) with
         | IkSlot s -> v = env.(s)
         | IkConst c -> v = c
-        | IkSkolem (f, args) -> v = skolem_cell_code e env f args
+        | IkSkolem (f, args) -> v = skolem_cell_code e.e_skmemo env f args
         | IkEx x ->
             if exenv.(x) <> unbound then v = exenv.(x)
             else begin
@@ -494,7 +497,7 @@ let fire ?budget e (ip : iplan) env (stats : Obs.tstats) =
               | IcSlot s -> env.(s)
               | IcConst c -> c
               | IcNull k -> nulls.(k)
-              | IcSkolem (f, args) -> skolem_cell_code e env f args))
+              | IcSkolem (f, args) -> skolem_cell_code e.e_skmemo env f args))
           em.ie_cells;
         let st = Hashtbl.find e.e_tgt em.ie_pred in
         match Colstore.insert st.s_cs tup with
@@ -1169,41 +1172,23 @@ module Stores = struct
          [])
 
   let count st = Colstore.count st.s_cs
+  let rows st = Colstore.rows st.s_cs
+  let find_row st cells = Colstore.find_row st.s_cs cells
+  let insert st cells = Colstore.insert st.s_cs cells
 
-  let mem st tup =
-    match Intern.find_tuple tup with
-    | Some cells -> Colstore.mem st.s_cs cells
-    | None -> false
+  let iter_live st f =
+    let cs = st.s_cs in
+    Colstore.iter_live cs (fun row -> f (Colstore.row_cells cs row))
 
-  let insert st tup =
-    match Colstore.insert st.s_cs (Intern.code_tuple tup) with
-    | Some row ->
-        st.s_delta <- row :: st.s_delta;
-        true
-    | None -> false
-
-  let remove_many st tups =
-    let removed = ref [] in
-    let any = ref false in
-    List.iter
-      (fun tup ->
-        match Intern.find_tuple tup with
-        | None -> ()
-        | Some cells -> (
-            match Colstore.remove st.s_cs cells with
-            | Some _row ->
-                any := true;
-                removed := tup :: !removed
-            | None -> ()))
-      tups;
-    if !any then begin
-      if st.s_delta <> [] then
-        st.s_delta <- List.filter (Colstore.is_live st.s_cs) st.s_delta;
-      Colstore.maybe_prune st.s_cs
-    end;
-    List.rev !removed
-
-  let clear_delta st = st.s_delta <- []
+  let remove_many st doomed =
+    let removed =
+      List.filter_map
+        (fun cells ->
+          Option.map (fun row -> (cells, row)) (Colstore.remove st.s_cs cells))
+        doomed
+    in
+    if removed <> [] then Colstore.maybe_prune st.s_cs;
+    removed
 
   let shard_view ?(intern_pool = true) sts =
     match sts with
@@ -1250,21 +1235,30 @@ let prewarm ~src (plan : Plan.t) =
                  (Array.of_list (List.map fst eqs))))
     plan.Plan.p_scans
 
-(* Value-facing enumeration over interned stores: the boxed plan is
-   lowered to its interned view, delta tuples are coded on the way in,
-   and each completed binding is decoded into a reused Value env for
-   the sink — the surface lib/delta maintains against. *)
-let enumerate ~src ?budget ?delta plan stats ~sink =
-  let ip = intern_plan plan in
-  let delta =
-    Option.map (fun (i, ts) -> (i, List.map Intern.code_tuple ts)) delta
-  in
-  let venv = Array.make (max ip.ip_nslots 1) (Value.VNull 0) in
-  enumerate_int ~src ?budget ip ?delta stats ~sink:(fun env ->
-      for i = 0 to ip.ip_nslots - 1 do
-        venv.(i) <- Intern.value env.(i)
-      done;
-      sink venv)
+(* Code-level enumeration for incremental maintenance: the plan is
+   lowered once by the caller ({!lower}), delta tuples arrive coded, and
+   the sink sees the interned env itself. *)
+type lowered = iplan
+
+let lower = intern_plan
+let skolem_memo () : skmemo = Hashtbl.create 256
+
+let enumerate ~src ?budget ?delta ip stats ~sink =
+  enumerate_int ~src ?budget ip ?delta stats ~sink
+
+let emit_cells memo (ip : iplan) k env =
+  let em = ip.ip_emits.(k) in
+  let tup = em.ie_scratch in
+  Array.iteri
+    (fun i cell ->
+      tup.(i) <-
+        (match cell with
+        | IcSlot s -> env.(s)
+        | IcConst c -> c
+        | IcSkolem (f, args) -> skolem_cell_code memo env f args
+        | IcNull _ -> invalid_arg "Engine.emit_cells: anonymous null"))
+    em.ie_cells;
+  tup
 
 let pp_report ppf r =
   Fmt.pf ppf "@[<v>rounds: %d%s  egd merges: %d  swept: %d  %.3f ms@,"

@@ -180,26 +180,30 @@ module Stores : sig
   (** Current tuples in insertion order. *)
 
   val count : t -> int
-  val mem : t -> Smg_relational.Value.t array -> bool
 
-  val insert : t -> Smg_relational.Value.t array -> bool
-  (** [false] if the tuple was already present. Maintains any built
-      indexes. *)
+  val rows : t -> int
+  (** Arena rows ever appended, live and dead. Row ids are stable for a
+      store's lifetime and new rows are numbered from here, so a
+      maintainer can tell the rows a batch added by this watermark. *)
 
-  val remove_many :
-    t -> Smg_relational.Value.t array list -> Smg_relational.Value.t array list
-  (** Remove a batch of tuples in O(batch), not O(store): each doomed
-      tuple is unregistered from the membership set and tombstoned in
-      place — both in the scan list and in any built index bucket.
-      Probes filter tombstones while rot exists, and rot past the live
-      count triggers an amortized rebuild. Returns the tuples actually
-      removed, in batch order (absent ones are skipped silently). *)
+  val find_row : t -> int array -> int option
+  (** The live row holding these interned cells. *)
 
-  val clear_delta : t -> unit
-  (** Forget the tuples recorded as "new this round" by {!insert} — an
-      incremental maintainer drives re-evaluation from its own batch,
-      so it drains this engine-side log after each apply to keep the
-      store O(live tuples). *)
+  val insert : t -> int array -> int option
+  (** Add interned cells unless already present; the new row id when
+      inserted. *)
+
+  val iter_live : t -> (int array -> unit) -> unit
+  (** Live rows' cells (fresh arrays), in insertion order. *)
+
+  val remove_many : t -> int array list -> (int array * int) list
+  (** Remove a batch of interned tuples in O(batch), not O(store): each
+      doomed tuple is unregistered from the membership set and
+      tombstoned in place — both in the arena and in any built index
+      bucket. Probes filter tombstones while rot exists, and rot past
+      the live count triggers an amortized rebuild. Returns the tuples
+      actually removed with their rows, in batch order (absent ones
+      are skipped silently). *)
 
   val shard_view : ?intern_pool:bool -> t list -> Obs.shard_view
   (** Aggregate per-shard live/rot counters over a list of stores
@@ -212,20 +216,47 @@ val prewarm : src:(string -> Stores.t) -> Plan.t -> unit
     first {!enumerate} after construction doesn't pay the O(store)
     index builds inside a latency-sensitive path. *)
 
+type lowered
+(** A compiled plan lowered to interned codes, with reusable scratch
+    buffers: lower once per plan, then enumerate and emit from one
+    domain at a time. *)
+
+val lower : Plan.t -> lowered
+
+type skmemo
+(** A cache from (Skolem function, interned argument codes) to the
+    interned term code. A miss falls back to [Chase.skolem_term], so
+    terms — and their labelled nulls — are the ones every engine and
+    the chase assign. *)
+
+val skolem_memo : unit -> skmemo
+
 val enumerate :
   src:(string -> Stores.t) ->
   ?budget:Smg_robust.Budget.t ->
-  ?delta:int * Smg_relational.Value.t array list ->
-  Plan.t ->
+  ?delta:int * int array list ->
+  lowered ->
   Obs.tstats ->
-  sink:(Smg_relational.Value.t array -> unit) ->
+  sink:(int array -> unit) ->
   unit
-(** Enumerate every complete binding (trigger) of a compiled plan's
-    scans over the stores named by [src], calling [sink] on each. With
-    [delta:(i, tuples)], scan step [i] iterates only the given tuples —
-    the semi-naive restriction: a binding is produced only if its
-    [i]-th atom comes from the delta. The env array passed to [sink] is
-    reused between bindings; copy it if it must survive the callback.
-    Every scanned tuple ticks the [budget] ({!Smg_robust.Budget.tick_exn},
-    so runaway joins raise [Budget.Exhausted] exactly as in bulk
-    execution). *)
+(** Enumerate every complete binding (trigger) of a lowered plan's
+    scans over the stores named by [src], calling [sink] on its
+    interned env. With [delta:(i, tuples)], scan step [i] iterates only
+    the given interned tuples — the semi-naive restriction: a binding
+    is produced only if its [i]-th atom comes from the delta. The env
+    array passed to [sink] is reused between bindings; copy it if it
+    must survive the callback. Every scanned tuple ticks the [budget]
+    ({!Smg_robust.Budget.tick_exn}, so runaway joins raise
+    [Budget.Exhausted] exactly as in bulk execution). *)
+
+val emit_cells : skmemo -> lowered -> int -> int array -> int array
+(** [emit_cells memo plan k env] is the interned tuple the plan's
+    [k]-th emission produces for the env, Skolem cells resolved through
+    [memo]. The array is a scratch buffer reused by the next call for
+    the same emission. Raises [Invalid_argument] on a plan that mints
+    anonymous nulls. *)
+
+val resolve_shards : ?shards:int -> ?pool:Smg_parallel.Pool.t -> unit -> int
+(** The membership partition count: [shards] if given (at least 1),
+    else a positive [SMG_SHARDS] env var, else the pool's domain count,
+    else 1. *)

@@ -32,6 +32,10 @@ val of_flat : shards:int -> arity:int -> rows:int -> int array -> t
     duplicate-free; the array must hold at least [16 * max 1 arity]
     cells and is owned by the store afterwards. *)
 
+val hash_cells : int array -> int
+(** The non-negative FNV-style hash membership and indexes use for a
+    tuple of interned cells. *)
+
 val arity : t -> int
 val nshards : t -> int
 val count : t -> int

@@ -433,13 +433,13 @@ let counters_json (c : Maintain.counters) =
     "{\"src_inserted\": %d, \"src_deleted\": %d, \"triggers_fired\": %d, \
      \"facts_added\": %d, \"facts_retracted\": %d, \"nulls_minted\": %d, \
      \"nulls_collected\": %d, \"egd_merges\": %d, \"egd_rebuilds\": %d, \
-     \"full_rebuilds\": %d, \"seconds\": %.6f}"
+     \"full_rebuilds\": %d, \"seconds\": %.6f, \"egd_checked\": %d}"
     c.Maintain.mc_src_inserted c.Maintain.mc_src_deleted
     c.Maintain.mc_triggers_fired c.Maintain.mc_facts_added
     c.Maintain.mc_facts_retracted c.Maintain.mc_nulls_minted
     c.Maintain.mc_nulls_collected c.Maintain.mc_egd_merges
     c.Maintain.mc_egd_rebuilds c.Maintain.mc_full_rebuilds
-    c.Maintain.mc_seconds
+    c.Maintain.mc_seconds c.Maintain.mc_egd_checked
 
 (* The maintained state is keyed like the cached instances, so a delta
    against [size, seed] mutates exactly the instance the exchange

@@ -664,8 +664,11 @@ let handle_conn t fd =
   let rec loop () =
     let before = Http.bytes_in reader in
     boundary := before;
+    let next = Http.next_request reader in
+    (* timed from the request's arrival: on a keep-alive connection the
+       read above also waits out the client's idle gap *)
     let t0 = Unix.gettimeofday () in
-    match Http.next_request reader with
+    match next with
     | Http.Eof -> ()
     | Http.Reject rj ->
         let body = error_body rj.Http.rj_reason in

@@ -389,6 +389,269 @@ let test_conflict_poisons () =
   | Error m ->
       Alcotest.(check bool) "poisoned" true (contains_sub m "poisoned")
 
+(* ---- the incremental key-egd check --------------------------------------- *)
+
+(* Two independent routes to one keyed table: [m1] copies [r], [m4]
+   invents the non-key column of every [v] key, so a key shared by [r]
+   and [v] merges a Skolem null into [r]'s constant. *)
+let ksource =
+  Schema.make ~name:"ksrc"
+    [
+      Schema.table "r" [ ("a", Schema.TString); ("b", Schema.TString) ];
+      Schema.table "u" [ ("b", Schema.TString) ];
+      Schema.table "v" [ ("a", Schema.TString) ];
+    ]
+    []
+
+let ktarget =
+  Schema.make ~name:"ktgt"
+    [
+      Schema.table ~key:[ "a" ] "s"
+        [ ("a", Schema.TString); ("b", Schema.TString) ];
+      Schema.table ~key:[ "b" ] "t"
+        [ ("b", Schema.TString); ("c", Schema.TString) ];
+    ]
+    []
+
+let ktgds_pool =
+  [
+    Dependency.tgd ~name:"m1" ~lhs:[ a "r" [ v "x"; v "y" ] ] [ a "s" [ v "x"; v "y" ] ];
+    Dependency.tgd ~name:"m2" ~lhs:[ a "u" [ v "y" ] ] [ a "t" [ v "y"; v "z" ] ];
+    Dependency.tgd ~name:"m3"
+      ~lhs:[ a "r" [ v "x"; v "y" ]; a "u" [ v "y" ] ]
+      [ a "s" [ v "x"; v "w" ]; a "t" [ v "w"; v "c" ] ];
+    Dependency.tgd ~name:"m4" ~lhs:[ a "v" [ v "x" ] ] [ a "s" [ v "x"; v "w" ] ];
+    Dependency.tgd ~name:"m5"
+      ~lhs:[ a "r" [ v "x"; v "y" ]; a "v" [ v "x" ] ]
+      [ a "t" [ v "y"; v "x" ] ];
+  ]
+
+let sorted_facts inst =
+  List.sort compare
+    (List.concat_map
+       (fun name ->
+         match Instance.relation inst name with
+         | None -> []
+         | Some r -> List.map (fun t -> (name, t)) r.Instance.tuples)
+       (Instance.names inst))
+
+(* The maintained state against a fresh [init] over its own source:
+   both fail, or both succeed with the same facts (≡hom as fallback). *)
+let agrees_with_fresh compiled st outcome =
+  match (outcome, Maintain.init compiled (Maintain.source st)) with
+  | Error _, Error _ -> Ok ()
+  | Error m, Ok _ -> Error ("maintained failed, fresh init succeeds: " ^ m)
+  | Ok (), Error m -> Error ("fresh init fails, maintained succeeds: " ^ m)
+  | Ok (), Ok fresh ->
+      let mine = Maintain.target st and theirs = Maintain.target fresh in
+      if sorted_facts mine = sorted_facts theirs || hom_equiv mine theirs then
+        Ok ()
+      else Error "maintained target differs from a fresh init"
+
+let check_agrees msg compiled st outcome =
+  match agrees_with_fresh compiled st outcome with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "%s: %s" msg m
+
+let kinst rows =
+  List.fold_left
+    (fun acc (name, tup) ->
+      let header =
+        match name with "r" -> [ "a"; "b" ] | "u" -> [ "b" ] | _ -> [ "a" ]
+      in
+      Instance.add_tuple acc name ~header (Array.of_list (List.map vs tup)))
+    Instance.empty rows
+
+(* A keyed retraction under a non-empty substitution recomputes it and
+   must leave the key index current: the next insert-only batch's key
+   collision with a surviving fact has to merge (or conflict) exactly
+   as a fresh init over the maintained source does. *)
+let test_stale_index_after_recompute () =
+  let compiled =
+    prepare_exn ~source:ksource ~target:ktarget
+      (List.filter
+         (fun (t : Dependency.tgd) -> List.mem t.Dependency.tgd_name [ "m1"; "m4" ])
+         ktgds_pool)
+  in
+  let st =
+    init_exn compiled
+      (kinst
+         [
+           ("r", [ "a1"; "b1" ]); ("v", [ "a1" ]);
+           ("r", [ "a2"; "b2" ]); ("v", [ "a2" ]);
+         ])
+  in
+  Alcotest.(check int)
+    "init merges both invented values" 2
+    (Maintain.report st).Engine.r_egd_merges;
+  (* s(a1, b1) goes; s(a1, W1) survives with its binding rolled back *)
+  let st, c = apply_exn st [ Batch.Delete ("r", [| vs "a1"; vs "b1" |]) ] in
+  Alcotest.(check int) "substitution recomputed" 1 c.Maintain.mc_egd_rebuilds;
+  check_agrees "after the recompute" compiled st (Ok ());
+  (* s(a1, b5) collides with the surviving s(a1, W1) *)
+  let st, c = apply_exn st [ Batch.Insert ("r", [| vs "a1"; vs "b5" |]) ] in
+  Alcotest.(check int) "the collision merges" 1 c.Maintain.mc_egd_merges;
+  check_agrees "after the colliding insert" compiled st (Ok ());
+  (* s(a2, b7) collides with s(a2, b2): constant against constant *)
+  match Maintain.apply st [ Batch.Insert ("r", [| vs "a2"; vs "b7" |]) ] with
+  | Ok _ -> Alcotest.fail "constant/constant key collision accepted"
+  | Error m ->
+      Alcotest.(check bool) "names the egd" true (contains_sub m "key egd");
+      check_agrees "after the conflict" compiled st (Error m)
+
+(* Churn leaves tombstoned fact rows behind until they outnumber the
+   live state and the fact tables compact, renumbering the rows that
+   derivations and key indexes hold: support counting, retraction and
+   the key check must carry on exactly as before. Each round keeps one
+   of its facts, so live rows sit past dead ones and really move. *)
+let test_fact_rows_compact_under_churn () =
+  let compiled =
+    prepare_exn ~source:ksource ~target:ktarget
+      (List.filter
+         (fun (t : Dependency.tgd) -> List.mem t.Dependency.tgd_name [ "m1"; "m4" ])
+         ktgds_pool)
+  in
+  (* no merges yet: retractions keep the standing key index instead of
+     recomputing it *)
+  let st =
+    ref (init_exn compiled (kinst [ ("r", [ "a1"; "b1" ]); ("r", [ "a2"; "b2" ]) ]))
+  in
+  let row round i =
+    let k = Printf.sprintf "c%d_%d" round i in
+    ("r", [| vs k; vs ("d" ^ k) |])
+  in
+  for round = 1 to 12 do
+    let rows = List.init 100 (row round) in
+    let apply ops = st := fst (apply_exn !st ops) in
+    apply (List.map (fun (n, t) -> Batch.Insert (n, t)) rows);
+    apply (List.map (fun (n, t) -> Batch.Delete (n, t)) (List.tl rows))
+  done;
+  let st = !st in
+  check_agrees "after the churn" compiled st (Ok ());
+  Alcotest.(check (triple int int int))
+    "live facts, derivations and nulls as after a fresh init"
+    (Maintain.live_stats (init_exn compiled (Maintain.source st)))
+    (Maintain.live_stats st);
+  (* the key index kept its renumbered rows: v(c7_0)'s invented value
+     merges into s(c7_0, dc7_0) *)
+  let st, c = apply_exn st [ Batch.Insert ("v", [| vs "c7_0" |]) ] in
+  Alcotest.(check int) "merged through the index" 1 c.Maintain.mc_egd_merges;
+  check_agrees "merge after compaction" compiled st (Ok ());
+  (* retraction follows the renumbered derivation rows *)
+  let victim = snd (row 5 0) in
+  let st, c = apply_exn st [ Batch.Delete ("r", victim) ] in
+  Alcotest.(check int) "one fact retracted" 1 c.Maintain.mc_facts_retracted;
+  check_agrees "retraction after compaction" compiled st (Ok ());
+  (* s(a2, b5) collides with s(a2, b2) *)
+  match Maintain.apply st [ Batch.Insert ("r", [| vs "a2"; vs "b5" |]) ] with
+  | Ok _ -> Alcotest.fail "a key collision after compaction went unseen"
+  | Error m -> check_agrees "collision after compaction" compiled st (Error m)
+
+(* The incremental check pays for the batch: one insert into a keyed
+   table of 10^4 facts examines O(1) facts, where a full pass examines
+   them all. *)
+let test_egd_checked_is_per_batch () =
+  let source =
+    Schema.make ~name:"csrc"
+      [ Schema.table "c" [ ("k", Schema.TString); ("v", Schema.TString) ] ]
+      []
+  in
+  let target =
+    Schema.make ~name:"ctgt"
+      [
+        Schema.table ~key:[ "k" ] "d"
+          [ ("k", Schema.TString); ("v", Schema.TString) ];
+      ]
+      []
+  in
+  let tgds =
+    [
+      Dependency.tgd ~name:"copy"
+        ~lhs:[ a "c" [ v "k"; v "x" ] ]
+        [ a "d" [ v "k"; v "x" ] ];
+    ]
+  in
+  let n = 10_000 in
+  let inst =
+    List.fold_left
+      (fun acc i ->
+        Instance.add_tuple acc "c" ~header:[ "k"; "v" ]
+          [| vs (Printf.sprintf "k%d" i); vs "x" |])
+      Instance.empty (List.init n Fun.id)
+  in
+  let st = init_exn (prepare_exn ~source ~target tgds) inst in
+  Alcotest.(check int)
+    "init checks every keyed fact" n (Maintain.totals st).Maintain.mc_egd_checked;
+  let st, c = apply_exn st [ Batch.Insert ("c", [| vs "knew"; vs "y" |]) ] in
+  Alcotest.(check int) "one insert checks one fact" 1 c.Maintain.mc_egd_checked;
+  let _, c = apply_exn st [ Batch.Delete ("c", [| vs "k7"; vs "x" |]) ] in
+  Alcotest.(check int) "a retraction without bindings checks none" 0
+    c.Maintain.mc_egd_checked
+
+(* Random keyed scenarios: a nonempty subset of the tgd pool over a
+   small value domain (so keys collide, merge and conflict), then a
+   random sequence of insert/delete batches; after every batch the
+   maintained state must agree with a fresh init over its source. *)
+let gen_keyed =
+  QCheck.Gen.(
+    let tuple name =
+      let av = map (Printf.sprintf "a%d") (int_bound 5)
+      and bv = map (Printf.sprintf "b%d") (int_bound 3) in
+      match name with
+      | "r" -> map2 (fun x y -> (name, [ x; y ])) av bv
+      | "u" -> map (fun y -> (name, [ y ])) bv
+      | _ -> map (fun x -> (name, [ x ])) av
+    in
+    let row = oneofl [ "r"; "u"; "v" ] >>= tuple in
+    let op = pair bool row in
+    let* mask = int_range 1 31 in
+    let* base = list_size (int_bound 8) row in
+    let* batches = list_size (int_range 1 5) (list_size (int_range 1 4) op) in
+    return (mask, base, batches))
+
+let print_keyed (mask, base, batches) =
+  let row (name, vals) = Printf.sprintf "%s(%s)" name (String.concat "," vals) in
+  Printf.sprintf "tgds mask %d; base [%s]; batches [%s]" mask
+    (String.concat "; " (List.map row base))
+    (String.concat " | "
+       (List.map
+          (fun b ->
+            String.concat " "
+              (List.map (fun (ins, r) -> (if ins then "+" else "-") ^ row r) b))
+          batches))
+
+let prop_keyed_batches_match_fresh_init =
+  QCheck.Test.make
+    ~name:"keyed batches: maintained target = a fresh init over its source"
+    ~count:(fuzz_count 200)
+    (QCheck.make gen_keyed ~print:print_keyed)
+    (fun (mask, base, batches) ->
+      let tgds = List.filteri (fun i _ -> mask land (1 lsl i) <> 0) ktgds_pool in
+      let compiled = prepare_exn ~source:ksource ~target:ktarget tgds in
+      match Maintain.init compiled (kinst base) with
+      | Error _ -> true  (* a conflicting base: init's own contract *)
+      | Ok st ->
+          let rec go = function
+            | [] -> true
+            | ops :: rest -> (
+                let batch =
+                  List.map
+                    (fun (ins, (name, vals)) ->
+                      let tup = Array.of_list (List.map vs vals) in
+                      if ins then Batch.Insert (name, tup) else Batch.Delete (name, tup))
+                    ops
+                in
+                let outcome =
+                  match Maintain.apply st batch with
+                  | Ok _ -> Ok ()
+                  | Error m -> Error m
+                in
+                match agrees_with_fresh compiled st outcome with
+                | Error m -> QCheck.Test.fail_report m
+                | Ok () -> Result.is_ok outcome && go rest || Result.is_error outcome)
+          in
+          go batches)
+
 (* ---- property: generated scenarios -------------------------------------- *)
 
 let gen_params =
@@ -561,6 +824,13 @@ let suite =
           test_sharded_maintenance;
         Alcotest.test_case "key conflict errors and poisons" `Quick
           test_conflict_poisons;
+        Alcotest.test_case "key index current after a recompute" `Quick
+          test_stale_index_after_recompute;
+        Alcotest.test_case "egd check pays for the batch" `Quick
+          test_egd_checked_is_per_batch;
+        Alcotest.test_case "fact rows compact under churn" `Quick
+          test_fact_rows_compact_under_churn;
+        q prop_keyed_batches_match_fresh_init;
         q prop_maintain_equiv;
       ] );
   ]

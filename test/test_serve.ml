@@ -557,6 +557,78 @@ let http_request_raw ~port meth path body =
       drain ();
       Buffer.contents buf)
 
+(* A request's recorded latency starts once it has arrived: a
+   keep-alive client idling between two requests must not have its idle
+   gap booked against the second one. *)
+let test_keepalive_idle_not_timed () =
+  let cfg = { Server.default_config with Server.preload = false } in
+  let find_from s i needle =
+    let n = String.length needle in
+    let rec go i =
+      if i + n > String.length s then None
+      else if String.sub s i n = needle then Some (i + n)
+      else go (i + 1)
+    in
+    go i
+  in
+  (* the number right after [key], searched from [i] *)
+  let number_after s i key =
+    match find_from s i key with
+    | None -> None
+    | Some j ->
+        let k = ref j in
+        while
+          !k < String.length s && (s.[!k] = '.' || (s.[!k] >= '0' && s.[!k] <= '9'))
+        do
+          incr k
+        done;
+        float_of_string_opt (String.sub s j (!k - j))
+  in
+  with_server ~cfg @@ fun srv port ->
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+      let req = "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n" in
+      let chunk = Bytes.create 4096 in
+      (* one response: headers, then Content-Length bytes of body *)
+      let complete raw =
+        match find_from raw 0 "\r\n\r\n" with
+        | None -> false
+        | Some body ->
+            let len = number_after raw 0 "Content-Length: " in
+            String.length raw
+            >= body + int_of_float (Option.value ~default:0. len)
+      in
+      let exchange () =
+        ignore (Unix.write_substring fd req 0 (String.length req));
+        let buf = Buffer.create 512 in
+        while not (complete (Buffer.contents buf)) do
+          match Unix.read fd chunk 0 (Bytes.length chunk) with
+          | 0 -> Alcotest.fail "server closed a keep-alive connection"
+          | k -> Buffer.add_subbytes buf chunk 0 k
+        done;
+        Alcotest.(check bool) "200" true
+          (contains_sub (Buffer.contents buf) "HTTP/1.1 200")
+      in
+      exchange ();
+      Unix.sleepf 0.3;
+      exchange ());
+  let json = Metrics.to_json (Server.metrics srv) ~scenarios:0 in
+  let p95 =
+    match find_from json 0 "\"healthz\": {" with
+    | None -> Alcotest.fail "no healthz entry in /metrics"
+    | Some i -> (
+        match number_after json i "\"p95_ms\": " with
+        | Some ms -> ms
+        | None -> Alcotest.fail "no healthz p95")
+  in
+  if p95 >= 100. then
+    Alcotest.failf "slowest healthz recorded at %.3f ms: the idle gap was timed"
+      p95
+
 let tmp_journal () = Filename.temp_file "smg_test_journal" ".j"
 
 let test_journal_roundtrip () =
@@ -973,6 +1045,8 @@ let suite =
         Alcotest.test_case "error statuses" `Quick test_served_errors;
         Alcotest.test_case "delta endpoint" `Quick test_served_delta_endpoint;
         Alcotest.test_case "admission control 429" `Quick test_admission_control;
+        Alcotest.test_case "keep-alive idle gap not timed" `Quick
+          test_keepalive_idle_not_timed;
         Alcotest.test_case "concurrent load, domains=4" `Slow
           test_concurrent_load_and_metrics;
       ] );
