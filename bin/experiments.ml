@@ -560,6 +560,10 @@ let incremental json smoke seed gen_tuples =
           @ List.map (fun (n, t) -> Batch.Insert (n, t)) inserts
         in
         let ops = List.length batch in
+        (* collect the garbage of the untimed source decode and batch
+           building above, so the major GC does not run inside the
+           timed apply *)
+        Gc.full_major ();
         let (st', c), delta_secs =
           Smg_exchange.Obs.time (fun () ->
               match Maintain.apply st batch with
@@ -575,6 +579,7 @@ let incremental json smoke seed gen_tuples =
             c.Maintain.mc_facts_retracted c.Maintain.mc_egd_merges
             c.Maintain.mc_egd_rebuilds c.Maintain.mc_full_rebuilds;
         let final = Maintain.source st' in
+        Gc.full_major ();
         let rep, rebuild_secs =
           Smg_exchange.Obs.time (fun () ->
               match Engine.execute compiled final with

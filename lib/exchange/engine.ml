@@ -915,6 +915,47 @@ let target_instance e =
       end)
     e.e_tgt Instance.empty
 
+(* The laconic target: {!Laconic.sweep_coded} over the target arenas
+   (relations in name order, live rows in arena order), then only the
+   survivors are decoded. Each relation comes out in reverse arena
+   order, the order laconic bodies have always had. *)
+let laconic_target e =
+  let rels =
+    Hashtbl.fold
+      (fun name st acc ->
+        if Colstore.count st.s_cs = 0 then acc else (name, st) :: acc)
+      e.e_tgt []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  in
+  let coded =
+    List.map
+      (fun (_, st) ->
+        let cs = st.s_cs in
+        let rows = Array.make (Colstore.count cs) 0 in
+        ignore
+          (Colstore.fold_live cs
+             (fun k row ->
+               rows.(k) <- row;
+               k + 1)
+             0);
+        { Laconic.arity = Colstore.arity cs; data = Colstore.data cs; rows })
+      rels
+  in
+  let live, dropped = Laconic.sweep_coded coded in
+  let inst =
+    List.fold_left2
+      (fun acc (name, st) ((c : Laconic.coded), live) ->
+        let tuples = ref [] in
+        Array.iteri
+          (fun k row ->
+            if live.(k) then
+              tuples := decode_row c.data c.arity (row * c.arity) :: !tuples)
+          c.rows;
+        Instance.set acc name { Instance.header = st.s_header; tuples = !tuples })
+      Instance.empty rels (List.combine coded live)
+  in
+  (inst, dropped)
+
 let shard_view e =
   let nsh = e.e_nshards in
   let tuples = Array.make nsh 0 and rot = Array.make nsh 0 in
@@ -1100,11 +1141,10 @@ let execute ?budget ?fault ?pool ?shards ?(max_rounds = 100) compiled inst =
     match !failed with
     | Some msg -> Failed msg
     | None ->
-        let tgt = target_instance e in
         let tgt, dropped =
           (* sweeping a budget-truncated instance is still sound: it only
              folds redundant tuples within what was built *)
-          if laconic then Laconic.sweep tgt else (tgt, 0)
+          if laconic then laconic_target e else (target_instance e, 0)
         in
         let report =
           {

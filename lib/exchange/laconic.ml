@@ -81,169 +81,263 @@ let prepare tgds =
    so the result stays homomorphically equivalent — this removes the
    single-fact redundancy the greedy core fold spends most of its time
    on, in near-linear time. Nulls shared across facts (genuine joins on
-   invented values) are left for {!Smg_verify.Icore}. *)
-let sweep inst =
-  let counts = Hashtbl.create 256 in
-  let note v =
-    match v with
-    | Value.VNull k ->
-        Hashtbl.replace counts k
-          (1 + Option.value ~default:0 (Hashtbl.find_opt counts k))
-    | _ -> ()
+   invented values) are left for {!Smg_verify.Icore}.
+
+   The sweep reads interned codes (labelled nulls are the negative
+   codes, see {!Smg_relational.Intern}): relations in the order given,
+   rows in arena order, whole passes repeated until one drops nothing.
+   Condition (ii) is tested first, because it is local and nearly
+   always fails at once. A subsuming [t'] must agree on [t]'s non-null
+   cells (a null there could not equal [t]'s constant), so its null
+   positions are a subset of [t]'s: either [t'] has [t]'s null
+   positions and constants — one probe of a table that hashes the
+   cells with every null as one wildcard — or it lies in a group with
+   strictly fewer null positions. The global null counts behind (i) are
+   built only when the first tuple passes (ii); no tuple is dropped
+   before that, so they count the input exactly. *)
+
+type coded = { arity : int; data : int array; rows : int array }
+
+module Codes = Hashtbl.Make (Int)
+
+(* the FNV mix of {!Smg_relational.Colstore.hash_cells} *)
+let fnv_offset = 0x1435cb3777f7f
+let fnv_prime = 0x100000001b3
+
+let sweep_relation ~counts ~dropped { arity; data; rows } live =
+  let n = Array.length rows in
+  let base k = rows.(k) * arity in
+  (* same null positions and same constants *)
+  let module Same = Hashtbl.Make (struct
+    type t = int
+
+    let equal a b =
+      let ba = base a and bb = base b in
+      let rec go p =
+        p = arity
+        || (let x = data.(ba + p) and y = data.(bb + p) in
+            if x < 0 then y < 0 else x = y)
+           && go (p + 1)
+      in
+      go 0
+
+    let hash a =
+      let b = base a in
+      let h = ref fnv_offset in
+      for p = 0 to arity - 1 do
+        h := (!h lxor max (-1) data.(b + p)) * fnv_prime
+      done;
+      !h land max_int
+  end) in
+  (* same null positions *)
+  let module Mask = Hashtbl.Make (struct
+    type t = int
+
+    let equal a b =
+      let ba = base a and bb = base b in
+      let rec go p =
+        p = arity || (data.(ba + p) < 0 = (data.(bb + p) < 0) && go (p + 1))
+      in
+      go 0
+
+    let hash a =
+      let b = base a in
+      let h = ref fnv_offset in
+      for p = 0 to arity - 1 do
+        if data.(b + p) < 0 then h := (!h lxor p) * fnv_prime
+      done;
+      !h land max_int
+  end) in
+  (* the tuple under test: [first.(p)] is the first position holding the
+     null at [p], [local.(q)] how often the null first seen at [q]
+     occurs in it *)
+  let first = Array.make arity 0 and local = Array.make arity 0 in
+  let seen = Codes.create 8 in
+  let prepare k =
+    Codes.clear seen;
+    let b = base k in
+    for p = 0 to arity - 1 do
+      let x = data.(b + p) in
+      if x < 0 then
+        match Codes.find_opt seen x with
+        | Some q ->
+            first.(p) <- q;
+            local.(q) <- local.(q) + 1
+        | None ->
+            Codes.add seen x p;
+            first.(p) <- p;
+            local.(p) <- 1
+    done
   in
-  List.iter
-    (fun name ->
-      match Instance.relation inst name with
-      | None -> ()
-      | Some r -> List.iter (fun tup -> Array.iter note tup) r.Instance.tuples)
-    (Instance.names inst);
-  let dropped = ref 0 in
-  let sweep_relation (r : Instance.relation) =
-    let tuples = Array.of_list r.Instance.tuples in
-    let n = Array.length tuples in
-    let alive = Array.make n true in
-    let null_positions tup =
-      let acc = ref [] in
-      Array.iteri
-        (fun i v -> if Value.is_null v then acc := i :: !acc)
-        tup;
-      List.rev !acc
+  (* [j] is the image of [k] under the map sending [k]'s nulls to [j]'s
+     cells at the same positions *)
+  let consistent k j =
+    let bk = base k and bj = base j in
+    let rec go p =
+      p = arity
+      || (let x = data.(bk + p) in
+          if x >= 0 then data.(bj + p) = x
+          else
+            let q = first.(p) in
+            q = p || data.(bj + q) = data.(bj + p))
+         && go (p + 1)
     in
-    let local_count tup k =
-      Array.fold_left
-        (fun acc v -> if Value.equal v (Value.VNull k) then acc + 1 else acc)
-        0 tup
+    go 0
+  in
+  let only_here counts k =
+    let b = base k in
+    let rec go p =
+      p = arity
+      || (let x = data.(b + p) in
+          x >= 0 || first.(p) <> p || Codes.find counts x = local.(p))
+         && go (p + 1)
     in
-    let key_at positions tup =
-      Smg_relational.Index.key_of_values
-        (List.map (fun p -> tup.(p)) positions)
+    go 0
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    let same = Same.create (max 16 n) and masks = Mask.create 8 in
+    let none = ref [] in
+    let exact = Array.make n none and group = Array.make n (-1) in
+    let reps = ref [] and ngroups = ref 0 in
+    for k = 0 to n - 1 do
+      if live.(k) then begin
+        (match Same.find_opt same k with
+        | Some l ->
+            l := k :: !l;
+            exact.(k) <- l
+        | None ->
+            let l = ref [ k ] in
+            Same.add same k l;
+            exact.(k) <- l);
+        group.(k) <-
+          (match Mask.find_opt masks k with
+          | Some g -> g
+          | None ->
+              let g = !ngroups in
+              Mask.add masks k g;
+              incr ngroups;
+              reps := base k :: !reps;
+              g)
+      end
+    done;
+    let reps = Array.of_list (List.rev !reps) in
+    let members = Array.make !ngroups [] in
+    for k = n - 1 downto 0 do
+      if live.(k) then members.(group.(k)) <- k :: members.(group.(k))
+    done;
+    let has_null =
+      Array.map
+        (fun b ->
+          let rec go p = p < arity && (data.(b + p) < 0 || go (p + 1)) in
+          go 0)
+        reps
     in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      (* group live tuples by null mask; index each mask's complement *)
-      let by_mask = Hashtbl.create 8 in
-      Array.iteri
-        (fun i tup ->
-          if alive.(i) then begin
-            let mask = null_positions tup in
-            let tbl =
-              match Hashtbl.find_opt by_mask mask with
-              | Some t -> t
-              | None ->
-                  let t = Hashtbl.create 32 in
-                  Hashtbl.replace by_mask mask t;
-                  t
-          in
-            let nonnull =
-              List.filter (fun p -> not (List.mem p mask))
-                (List.init (Array.length tup) Fun.id)
+    (* the groups whose null positions are a strict subset of [g]'s
+       (distinct groups have distinct positions) *)
+    let subsets = Array.make !ngroups None in
+    let subsets_of g =
+      match subsets.(g) with
+      | Some l -> l
+      | None ->
+          let bg = reps.(g) in
+          let within g' =
+            let b' = reps.(g') in
+            let rec go p =
+              p = arity || ((data.(b' + p) >= 0 || data.(bg + p) < 0) && go (p + 1))
             in
-            let k = key_at nonnull tup in
-            Hashtbl.replace tbl k
-              (i :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
-          end)
-        tuples;
-      Array.iteri
-        (fun i tup ->
-          if alive.(i) then begin
-            let mask = null_positions tup in
-            if mask <> [] then begin
-              let only_here =
-                List.for_all
-                  (fun p ->
-                    match tup.(p) with
-                    | Value.VNull k ->
-                        Hashtbl.find_opt counts k = Some (local_count tup k)
-                    | _ -> true)
-                  mask
-              in
-              if only_here then begin
-                (* a live tuple agreeing on every non-null cell, with a
-                   consistent image for the nulls *)
-                let consistent j =
-                  j <> i && alive.(j)
-                  &&
-                  let t' = tuples.(j) in
-                  let m = Hashtbl.create 4 in
-                  let n = Array.length tup in
-                  let rec go p =
-                    p = n
-                    ||
-                    (match tup.(p) with
-                      | Value.VNull k -> (
-                          match Hashtbl.find_opt m k with
-                          | Some v -> Value.equal v t'.(p)
-                          | None ->
-                              Hashtbl.replace m k t'.(p);
-                              true)
-                      | v -> Value.equal v t'.(p))
-                    && go (p + 1)
-                  in
-                  go 0
-                in
-                let candidates =
-                  (* A subsuming tuple must agree on our non-null cells
-                     (a null there could not equal our constant), so its
-                     mask is a subset of ours. Same-mask candidates come
-                     from one hash probe on the shared non-null
-                     positions — the common case of duplicated null
-                     patterns; strictly-smaller-mask groups (rarer) are
-                     enumerated. *)
-                  let nonnull =
-                    List.filter
-                      (fun p -> not (List.mem p mask))
-                      (List.init (Array.length tup) Fun.id)
-                  in
-                  let exact =
-                    match Hashtbl.find_opt by_mask mask with
-                    | None -> []
-                    | Some tbl ->
-                        Option.value ~default:[]
-                          (Hashtbl.find_opt tbl (key_at nonnull tup))
-                  in
-                  Hashtbl.fold
-                    (fun mask' tbl acc ->
-                      if
-                        mask' <> mask
-                        && List.for_all (fun p -> List.mem p mask) mask'
-                      then Hashtbl.fold (fun _ is acc -> is @ acc) tbl acc
-                      else acc)
-                    by_mask exact
-                in
-                match List.find_opt consistent candidates with
-                | Some _ ->
-                    alive.(i) <- false;
-                    incr dropped;
-                    changed := true;
-                    List.iter
-                      (fun p ->
-                        match tup.(p) with
-                        | Value.VNull k ->
-                            Hashtbl.replace counts k
-                              (Option.value ~default:0
-                                 (Hashtbl.find_opt counts k)
-                              - 1)
-                        | _ -> ())
-                      mask
-                | None -> ()
-              end
-            end
-          end)
-        tuples
-    done;
-    let kept = ref [] in
-    for i = n - 1 downto 0 do
-      if alive.(i) then kept := tuples.(i) :: !kept
-    done;
-    { r with Instance.tuples = List.rev !kept }
+            g' <> g && go 0
+          in
+          let l = List.filter within (List.init !ngroups Fun.id) in
+          subsets.(g) <- Some l;
+          l
+    in
+    for k = 0 to n - 1 do
+      if live.(k) && has_null.(group.(k)) then begin
+        let prepared = ref false in
+        let candidate j =
+          j <> k && live.(j)
+          && begin
+               if not !prepared then begin
+                 prepare k;
+                 prepared := true
+               end;
+               consistent k j
+             end
+        in
+        if
+          (List.exists candidate !(exact.(k))
+          || List.exists
+               (fun g -> List.exists candidate members.(g))
+               (subsets_of group.(k)))
+          && only_here (Lazy.force counts) k
+        then begin
+          live.(k) <- false;
+          incr dropped;
+          changed := true;
+          let counts = Lazy.force counts and b = base k in
+          for p = 0 to arity - 1 do
+            let x = data.(b + p) in
+            if x < 0 then Codes.replace counts x (Codes.find counts x - 1)
+          done
+        end
+      end
+    done
+  done
+
+let sweep_coded rels =
+  let live = List.map (fun r -> Array.make (Array.length r.rows) true) rels in
+  let counts =
+    lazy
+      (let c = Codes.create 1024 in
+       List.iter2
+         (fun { arity; data; rows } live ->
+           Array.iteri
+             (fun k row ->
+               if live.(k) then
+                 for p = row * arity to ((row + 1) * arity) - 1 do
+                   let x = data.(p) in
+                   if x < 0 then
+                     Codes.replace c x
+                       (1 + Option.value ~default:0 (Codes.find_opt c x))
+                 done)
+             rows)
+         rels live;
+       c)
   in
+  let dropped = ref 0 in
+  List.iter2 (sweep_relation ~counts ~dropped) rels live;
+  (live, !dropped)
+
+let sweep inst =
+  let rels =
+    List.filter_map
+      (fun name ->
+        Option.map
+          (fun r -> (name, r, Array.of_list r.Instance.tuples))
+          (Instance.relation inst name))
+      (Instance.names inst)
+  in
+  let coded =
+    List.map
+      (fun (_, r, _) ->
+        (* untracked coding: duplicate tuples stay distinct rows *)
+        let arity = max 1 (List.length r.Instance.header) in
+        let n, data = Smg_relational.Intern.code_rows ~arity r.Instance.tuples in
+        { arity; data; rows = Array.init n Fun.id })
+      rels
+  in
+  let live, dropped = sweep_coded coded in
   let inst' =
-    List.fold_left
-      (fun acc name ->
-        match Instance.relation inst name with
-        | None -> acc
-        | Some r -> Instance.set acc name (sweep_relation r))
-      inst (Instance.names inst)
+    List.fold_left2
+      (fun acc (name, r, tuples) live ->
+        (* survivors in reverse row order, as the engine decodes them:
+           the order laconic output has always had, kept so rendered
+           bodies stay byte-identical *)
+        let kept = ref [] in
+        Array.iteri (fun k t -> if live.(k) then kept := t :: !kept) tuples;
+        Instance.set acc name { r with Instance.tuples = !kept })
+      inst rels live
   in
-  (inst', !dropped)
+  (inst', dropped)

@@ -9,22 +9,26 @@ module Engine = Smg_exchange.Engine
 (* Hand-rolled JSON in the same dependency-free style as
    Smg_exchange.Obs.write_bench_json. *)
 
-let json_str s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
+(* a JSON string literal, escaped straight into [b] *)
+let add_json_str b s =
+  Buffer.add_char b '"';
   String.iter
     (fun c ->
       match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\t' -> Buffer.add_string b "\\t"
       | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
     s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+  Buffer.add_char b '"'
+
+let json_str s =
+  let b = Buffer.create (String.length s + 2) in
+  add_json_str b s;
+  Buffer.contents b
 
 let json_list f xs = "[" ^ String.concat ", " (List.map f xs) ^ "]"
 
@@ -149,13 +153,31 @@ let discover_json ?budget ?pool ?(meth = `Both) ?(dedup = false) ~file ~source
 
 (* ---- exchange ----------------------------------------------------------- *)
 
-let value_json ~canon (v : Value.t) =
+(* decimal digits written straight into [b], without a string per number *)
+let add_int b n =
+  let rec digits n =
+    if n >= 10 then digits (n / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+  in
+  if n = min_int then Buffer.add_string b (string_of_int n)
+  else if n < 0 then begin
+    Buffer.add_char b '-';
+    digits (-n)
+  end
+  else digits n
+
+let add_value b ~canon (v : Value.t) =
   match v with
-  | Value.VInt i -> string_of_int i
-  | Value.VString s -> json_str s
-  | Value.VFloat f -> Printf.sprintf "%.17g" f
-  | Value.VBool b -> string_of_bool b
-  | Value.VNull k -> Printf.sprintf "\"_N%d\"" (canon k)
+  | Value.VInt i -> add_int b i
+  | Value.VString s -> add_json_str b s
+  | Value.VFloat f -> Printf.bprintf b "%.17g" f
+  | Value.VBool x -> Buffer.add_string b (string_of_bool x)
+  | Value.VNull k ->
+      Buffer.add_string b "\"_N";
+      add_int b (canon k);
+      Buffer.add_char b '"'
+
+module Labels = Hashtbl.Make (Int)
 
 let exchange_json ~head ?exhausted ?(diags = []) ~laconic
     (r : Engine.report) =
@@ -163,30 +185,19 @@ let exchange_json ~head ?exhausted ?(diags = []) ~laconic
   let tables = List.sort String.compare (Instance.names inst) in
   (* canonical null labels: numbered by first occurrence over
      name-sorted tables, tuples in relation order, cells left to right —
-     independent of the process-global label counter *)
-  let canon_tbl = Hashtbl.create 64 in
-  let next = ref 0 in
+     independent of the process-global label counter. That is the order
+     the target is written in, so labels are assigned as it is written. *)
+  let labels = Labels.create 64 in
   let canon k =
-    match Hashtbl.find_opt canon_tbl k with
+    match Labels.find_opt labels k with
     | Some c -> c
     | None ->
-        incr next;
-        Hashtbl.add canon_tbl k !next;
-        !next
+        let c = Labels.length labels + 1 in
+        Labels.add labels k c;
+        c
   in
-  List.iter
-    (fun name ->
-      match Instance.relation inst name with
-      | None -> ()
-      | Some rel ->
-          List.iter
-            (fun tup ->
-              Array.iter
-                (fun v -> match v with Value.VNull k -> ignore (canon k) | _ -> ())
-                tup)
-            rel.Instance.tuples)
-    tables;
-  let b = Buffer.create 4096 in
+  let total = Instance.total_tuples inst in
+  let b = Buffer.create (4096 + (32 * total)) in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   Buffer.add_string b "{";
   List.iter (fun (k, v) -> Buffer.add_string b (Printf.sprintf "\"%s\": %s,\n " k v)) head;
@@ -200,7 +211,7 @@ let exchange_json ~head ?exhausted ?(diags = []) ~laconic
   line " \"rounds\": %d," r.Engine.r_rounds;
   line " \"egd_merges\": %d," r.Engine.r_egd_merges;
   line " \"sweep_dropped\": %d," r.Engine.r_sweep_dropped;
-  line " \"target_tuples\": %d," (Instance.total_tuples inst);
+  line " \"target_tuples\": %d," total;
   let stat (name, (s : Smg_exchange.Obs.stats)) =
     Printf.sprintf
       "    {\"tgd\": %s, \"scanned\": %d, \"probes\": %d, \"hits\": %d, \
@@ -215,25 +226,43 @@ let exchange_json ~head ?exhausted ?(diags = []) ~laconic
     (match r.Engine.r_stats with
     | [] -> "[]"
     | stats -> "[\n" ^ String.concat ",\n" (List.map stat stats) ^ "\n  ]");
-  let relation name =
+  (* the target, cell by cell into [b] *)
+  let sep i s = if i > 0 then Buffer.add_string b s in
+  let relation i name =
+    sep i ",\n";
+    Buffer.add_string b "  ";
+    add_json_str b name;
     match Instance.relation inst name with
-    | None -> Printf.sprintf "  %s: {}" (json_str name)
+    | None -> Buffer.add_string b ": {}"
     | Some rel ->
-        let tuple tup =
-          "["
-          ^ String.concat ", "
-              (Array.to_list (Array.map (value_json ~canon) tup))
-          ^ "]"
-        in
-        Printf.sprintf "  %s: {\"header\": %s,\n   \"tuples\": [%s]}"
-          (json_str name)
-          (json_list json_str rel.Instance.header)
-          (String.concat ",\n    " (List.map tuple rel.Instance.tuples))
+        Buffer.add_string b ": {\"header\": [";
+        List.iteri
+          (fun j h ->
+            sep j ", ";
+            add_json_str b h)
+          rel.Instance.header;
+        Buffer.add_string b "],\n   \"tuples\": [";
+        List.iteri
+          (fun j tup ->
+            sep j ",\n    ";
+            Buffer.add_char b '[';
+            Array.iteri
+              (fun c v ->
+                sep c ", ";
+                add_value b ~canon v)
+              tup;
+            Buffer.add_char b ']')
+          rel.Instance.tuples;
+        Buffer.add_string b "]}"
   in
-  line " \"target\": %s,"
-    (match tables with
-    | [] -> "{}"
-    | _ -> "{\n" ^ String.concat ",\n" (List.map relation tables) ^ "\n  }");
+  Buffer.add_string b " \"target\": ";
+  (match tables with
+  | [] -> Buffer.add_string b "{}"
+  | _ ->
+      Buffer.add_string b "{\n";
+      List.iteri relation tables;
+      Buffer.add_string b "\n  }");
+  Buffer.add_string b ",\n";
   line " \"diagnostics\": %s}"
     (match diags with
     | [] -> "[]"

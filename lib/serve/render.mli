@@ -68,7 +68,3 @@ val exchange_json :
     [("file", …)] or [("scenario"/"size"/"seed", …)] there. Timings are
     deliberately excluded so the document is deterministic; labelled
     nulls are canonically renumbered. *)
-
-val value_json : canon:(int -> int) -> Smg_relational.Value.t -> string
-(** One relational value as JSON; [canon] maps raw null labels to their
-    canonical numbers. *)

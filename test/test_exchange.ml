@@ -363,6 +363,258 @@ let test_laconic_near_core () =
 
 (* ---- seven built-in domains -------------------------------------------- *)
 
+(* ---- the coded sweep against a naive reference ------------------------ *)
+
+(* The sweep's definition (laconic.ml), followed naively: relations in
+   name order, each swept in passes until one drops nothing, rows in
+   order. A row goes when it has a null, every null of it occurs nowhere
+   else among the live rows of any relation, and another live row of its
+   relation is its image under a consistent null assignment. Survivors
+   come back in reverse row order, the documented output order. *)
+let reference_sweep (rels : (string * Value.t array list) list) =
+  let rels =
+    List.map
+      (fun (name, ts) ->
+        (name, Array.of_list ts, Array.make (List.length ts) true))
+      rels
+  in
+  let occurrences k =
+    List.fold_left
+      (fun acc (_, ts, live) ->
+        let n = ref acc in
+        Array.iteri
+          (fun i t ->
+            if live.(i) then
+              Array.iter
+                (fun v -> if Value.equal v (Value.VNull k) then incr n)
+                t)
+          ts;
+        !n)
+      0 rels
+  in
+  let image t t' =
+    let m = Hashtbl.create 4 in
+    let ok = ref true in
+    Array.iteri
+      (fun p v ->
+        match v with
+        | Value.VNull k -> (
+            match Hashtbl.find_opt m k with
+            | Some w -> if not (Value.equal w t'.(p)) then ok := false
+            | None -> Hashtbl.add m k t'.(p))
+        | v -> if not (Value.equal v t'.(p)) then ok := false)
+      t;
+    !ok
+  in
+  let dropped = ref 0 in
+  List.iter
+    (fun (_, ts, live) ->
+      let changed = ref true in
+      while !changed do
+        changed := false;
+        Array.iteri
+          (fun i t ->
+            let nulls =
+              List.filter_map
+                (function Value.VNull k -> Some k | _ -> None)
+                (Array.to_list t)
+            in
+            let only_here k =
+              occurrences k = List.length (List.filter (( = ) k) nulls)
+            in
+            let subsumed () =
+              let found = ref false in
+              Array.iteri
+                (fun j t' -> if j <> i && live.(j) && image t t' then found := true)
+                ts;
+              !found
+            in
+            if live.(i) && nulls <> [] && List.for_all only_here nulls
+               && subsumed ()
+            then begin
+              live.(i) <- false;
+              incr dropped;
+              changed := true
+            end)
+          ts
+      done)
+    rels;
+  ( List.map
+      (fun (name, ts, live) ->
+        ( name,
+          List.rev (List.filteri (fun i _ -> live.(i)) (Array.to_list ts)) ))
+      rels,
+    !dropped )
+
+let instance_of_rels rels =
+  Instance.of_list
+    (List.map
+       (fun (name, ts) ->
+         let arity = match ts with t :: _ -> Array.length t | [] -> 1 in
+         ( name,
+           {
+             Instance.header = List.init arity (Printf.sprintf "c%d");
+             tuples = ts;
+           } ))
+       rels)
+
+let swept_rels inst =
+  List.map
+    (fun name -> (name, (Option.get (Instance.relation inst name)).Instance.tuples))
+    (Instance.names inst)
+
+let pp_rels rels =
+  String.concat "\n"
+    (List.map
+       (fun (name, ts) ->
+         name ^ ": "
+         ^ String.concat " "
+             (List.map
+                (fun t ->
+                  "("
+                  ^ String.concat "," (List.map Value.to_string (Array.to_list t))
+                  ^ ")")
+                ts))
+       rels)
+
+(* Three relations over small pools: three constants and six null
+   labels shared by all relations, so null patterns repeat, a null
+   repeats inside a tuple, nulls are shared across relations, masks nest
+   strictly, and some tuples are appended twice. *)
+let arb_sweep_input =
+  let open QCheck.Gen in
+  let cell =
+    frequency
+      [
+        (3, map (fun i -> vs (Printf.sprintf "k%d" i)) (int_bound 2));
+        (2, map (fun k -> Value.VNull (900_000 + k)) (int_bound 5));
+      ]
+  in
+  let rel name =
+    int_range 1 4 >>= fun arity ->
+    list_size (int_bound 10) (array_size (return arity) cell) >>= fun ts ->
+    list_size (int_bound 2) (int_bound 9) >|= fun dups ->
+    (name, ts @ List.filteri (fun i _ -> List.mem i dups) ts)
+  in
+  QCheck.make ~print:pp_rels
+    (triple (rel "a") (rel "b") (rel "c") >|= fun (x, y, z) -> [ x; y; z ])
+
+let prop_sweep_reference =
+  QCheck.Test.make ~name:"sweep = naive reference (survivors, order, drops)"
+    ~count:500 arb_sweep_input (fun rels ->
+      let swept, dropped = Laconic.sweep (instance_of_rels rels) in
+      let expected, expected_dropped = reference_sweep rels in
+      swept_rels swept = expected && dropped = expected_dropped)
+
+(* [sweep_coded] reads only the listed rows: the same relations laid out
+   with a junk row (holding the relations' nulls) after every real one,
+   which would change "only here" if it were counted. *)
+let prop_sweep_coded_rows =
+  QCheck.Test.make ~name:"sweep_coded skips unlisted arena rows" ~count:300
+    arb_sweep_input (fun rels ->
+      let coded =
+        List.map
+          (fun (_, ts) ->
+            let arity = match ts with t :: _ -> Array.length t | [] -> 1 in
+            let junk = Array.init arity (fun p -> Value.VNull (900_000 + p)) in
+            let n, data =
+              Smg_relational.Intern.code_rows ~arity
+                (List.concat_map (fun t -> [ t; junk ]) ts)
+            in
+            {
+              Laconic.arity;
+              data;
+              rows = Array.init (n / 2) (fun k -> 2 * k);
+            })
+          rels
+      in
+      let live, dropped = Laconic.sweep_coded coded in
+      let survivors =
+        List.map2
+          (fun (name, ts) live ->
+            (name, List.rev (List.filteri (fun i _ -> live.(i)) ts)))
+          rels live
+      in
+      (survivors, dropped) = reference_sweep rels)
+
+(* Null positions past any machine word's width: a 70-column relation. *)
+let test_laconic_sweep_wide () =
+  let arity = 70 in
+  let full = Array.init arity (fun p -> vs (Printf.sprintf "w%d" p)) in
+  let with_nulls cells =
+    let t = Array.copy full in
+    List.iter (fun (p, v) -> t.(p) <- v) cells;
+    t
+  in
+  let n k = Value.VNull (910_000 + k) in
+  (* subsumed by [full]: two fresh nulls at positions 64 and 69 *)
+  let sub = with_nulls [ (64, n 1); (69, n 2) ] in
+  (* one null twice, at 64 and 69: [full]'s cells there differ, so no
+     consistent image exists *)
+  let twice = with_nulls [ (64, n 3); (69, n 3) ] in
+  (* a constant no other row has, at 69 *)
+  let other = with_nulls [ (0, n 4); (69, vs "x") ] in
+  let rels = [ ("wide", [ full; sub; twice; other ]) ] in
+  let swept, dropped = Laconic.sweep (instance_of_rels rels) in
+  Alcotest.(check int) "one row folded" 1 dropped;
+  Alcotest.(check bool) "survivors in reverse order" true
+    (swept_rels swept = [ ("wide", [ other; twice; full ]) ]);
+  Alcotest.(check bool) "as the reference has it" true
+    ((swept_rels swept, dropped) = reference_sweep rels)
+
+(* ---- laconic exchange byte-parity pins ---------------------------------- *)
+
+(* the CLI's laconic body ([mapdisc exchange --scenario NAME --size N
+   --json]), computed in-process as the serve parity tests do *)
+let laconic_body name ~size =
+  let scen =
+    List.find
+      (fun (s : Scenario.t) -> String.lowercase_ascii s.Scenario.scen_name = name)
+      (Datasets.all ())
+  in
+  Test_serve.cli_exchange_bytes scen ~size ~seed:42
+
+let sweep_dropped body =
+  let key = "\"sweep_dropped\": " in
+  let rec at i =
+    if String.sub body i (String.length key) = key then i + String.length key
+    else at (i + 1)
+  in
+  Scanf.sscanf (String.sub body (at 0) 16) "%d" Fun.id
+
+(* MD5 of [mapdisc exchange --scenario NAME --size 1000 --json], recorded
+   before the sweep moved onto interned codes and the render onto one
+   buffer: sweep and render output may not drift. *)
+let laconic_digests =
+  [
+    ("dblp", "e4705d720f5bc1b502719a304572f209");
+    ("mondial", "1af0d0af50ce39462172bb434f1e4938");
+    ("amalgam", "fbc2729eb0a1c28731521fceeec26423");
+    ("3sdb", "3acb251efbcff79449ce82b925b73914");
+    ("ut", "51c1baff9e51fac970965368fbdb48dc");
+    ("hotel", "1af9b21f03015b6243ab4f7883ec1607");
+    ("network", "db8e8109390d919b373e7817fe1a742c");
+  ]
+
+let test_laconic_digests () =
+  List.iter
+    (fun (name, digest) ->
+      let body = laconic_body name ~size:1000 in
+      Alcotest.(check string)
+        (name ^ " laconic body digest")
+        digest
+        (Digest.to_hex (Digest.string body)))
+    laconic_digests
+
+let test_amalgam_sweep_dropped () =
+  List.iter
+    (fun (size, expected) ->
+      Alcotest.(check int)
+        (Printf.sprintf "amalgam size %d" size)
+        expected
+        (sweep_dropped (laconic_body "amalgam" ~size)))
+    [ (64, 28); (1000, 462) ]
+
 let scenario_tgds (scen : Scenario.t) =
   List.concat_map
     (fun (c : Scenario.case) -> List.map Mapping.to_tgd c.Scenario.benchmark)
@@ -468,6 +720,13 @@ let suite =
         Alcotest.test_case "sweep" `Quick test_laconic_sweep;
         Alcotest.test_case "near-core" `Quick test_laconic_near_core;
         q prop_laconic_embeds;
+        q prop_sweep_reference;
+        q prop_sweep_coded_rows;
+        Alcotest.test_case "sweep 70 columns" `Quick test_laconic_sweep_wide;
+        Alcotest.test_case "amalgam sweep_dropped" `Quick
+          test_amalgam_sweep_dropped;
+        Alcotest.test_case "body digests (size 1000)" `Quick
+          test_laconic_digests;
       ] );
     ("exchange domains", domain_tests);
   ]
