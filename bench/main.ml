@@ -469,7 +469,7 @@ let exchange_meta () =
       in
       let src_n = Smg_relational.Instance.total_tuples inst in
       let chase_out =
-        match Smg_exchange.Naive.exchange ~source ~target ~mappings inst with
+        match Smg_cq.Chase.exchange ~source ~target ~mappings inst with
         | Smg_cq.Chase.Saturated out | Smg_cq.Chase.Bounded out ->
             Smg_relational.Instance.total_tuples out
         | Smg_cq.Chase.Failed msg -> failwith msg

@@ -559,7 +559,7 @@ let run_exchange file scenario size seed engine no_laconic core print_data
     | `Chase -> (
         let outcome, secs =
           Smg_exchange.Obs.time (fun () ->
-              Smg_exchange.Naive.exchange ~source ~target ~mappings src_inst)
+              Smg_cq.Chase.exchange ~source ~target ~mappings src_inst)
         in
         match outcome with
         | Smg_cq.Chase.Saturated out | Smg_cq.Chase.Bounded out ->

@@ -8,6 +8,8 @@ module Discover = Smg_core.Discover
 (* Deterministic pseudo-random stream (no Random: reproducibility). *)
 let mix seed i j = ((seed * 1103515245) + (i * 12345) + (j * 2654435761)) land 0x3FFFFFFF
 
+let repair_cap = 32
+
 let populate ?(rows_per_table = 4) ?(seed = 42) schema =
   (* Pooled constants: the same small value domain is used for every
      column, so natural joins and RIC references frequently hit. *)
@@ -38,11 +40,21 @@ let populate ?(rows_per_table = 4) ?(seed = 42) schema =
   in
   (* Repair the RICs directly: for every dangling reference insert the
      referenced row (labelled nulls outside the referenced columns),
-     probing a hash index per RIC instead of chasing the RIC tgds — the
-     chase rescans every pair of rows per round, which dominates
-     generation at the sizes the exchange-scale experiment uses.
-     Inserted rows can dangle in turn, so rounds repeat to a fixpoint
-     (bounded like the old chase-based repair). *)
+     probing a hash table of the referenced cells per RIC instead of
+     chasing the RIC tgds — the chase rescans every pair of rows per
+     round, which dominates generation at the sizes the exchange-scale
+     experiment uses. Inserted rows can dangle in turn, so rounds repeat
+     to a fixpoint, bounded twice: at most 10 rounds, and no insert once
+     the instance holds [repair_cap] times its base rows. A cycle of
+     RICs whose rows multiply each round (a generated schema grew 4.6×
+     per round to 10^7 tuples) then stops early with dangling
+     references left. The built-in domains, the committed scenarios and
+     the generator's documents end at most 12× their base rows (Mondial's
+     target at a few rows per table) at every size measured, 1 to 5000
+     rows per table, so the cap never binds on them. A repair row is new
+     to its relation — it holds a fresh null, or the probe has just
+     shown its referenced cells absent — so it is prepended without
+     [Instance.add_tuple]'s duplicate scan. *)
   let col_pos header c =
     let rec go i = function
       | [] -> invalid_arg ("witness: unknown column " ^ c)
@@ -50,9 +62,10 @@ let populate ?(rows_per_table = 4) ?(seed = 42) schema =
     in
     go 0 header
   in
-  let module Index = Smg_relational.Index in
+  let limit = repair_cap * Instance.total_tuples base in
+  let size = ref (Instance.total_tuples base) in
   let rec repair inst round =
-    if round >= 10 then inst
+    if round >= 10 || !size >= limit then inst
     else begin
       let changed = ref false in
       let inst' =
@@ -66,19 +79,24 @@ let populate ?(rows_per_table = 4) ?(seed = 42) schema =
               Instance.relation_or_empty inst r.Schema.from_table
                 ~header:from_header
             in
+            let fpos = List.map (col_pos from_header) r.Schema.from_cols in
+            let tpos = List.map (col_pos to_header) r.Schema.to_cols in
             let to_rel =
               Instance.relation_or_empty inst r.Schema.to_table
                 ~header:to_header
             in
-            let fpos = List.map (col_pos from_header) r.Schema.from_cols in
-            let tpos = List.map (col_pos to_header) r.Schema.to_cols in
-            let ix = Index.build ~key:tpos to_rel.Instance.tuples in
+            let present = Hashtbl.create 64 in
+            List.iter
+              (fun tup ->
+                Hashtbl.replace present (List.map (fun p -> tup.(p)) tpos) ())
+              to_rel.Instance.tuples;
             List.fold_left
               (fun inst tup ->
                 let vals = List.map (fun p -> tup.(p)) fpos in
-                if Index.probe ix vals <> [] then inst
+                if Hashtbl.mem present vals || !size >= limit then inst
                 else begin
                   changed := true;
+                  incr size;
                   let row =
                     Array.init (List.length to_header) (fun j ->
                         let rec assoc tpos vals =
@@ -91,9 +109,13 @@ let populate ?(rows_per_table = 4) ?(seed = 42) schema =
                         | Some v -> v
                         | None -> Value.fresh_null ())
                   in
-                  Index.add ix row;
-                  Instance.add_tuple inst r.Schema.to_table ~header:to_header
-                    row
+                  Hashtbl.replace present vals ();
+                  let to_rel =
+                    Instance.relation_or_empty inst r.Schema.to_table
+                      ~header:to_header
+                  in
+                  Instance.set inst r.Schema.to_table
+                    { to_rel with Instance.tuples = row :: to_rel.Instance.tuples }
                 end)
               inst from_rel.Instance.tuples)
           inst schema.Schema.rics

@@ -18,9 +18,15 @@ val populate :
     constants (so joins have matches), then dangling references are
     repaired round by round — each missing referenced row is inserted
     with labelled nulls outside the referenced columns, probing a hash
-    index per RIC — so referential integrity holds. The result is a
-    deterministic function of [seed] (default 42); keys hold because
-    each row's key is distinct by construction. *)
+    table per RIC — so referential integrity holds. The repair stops
+    after 10 rounds, or once the instance holds {!repair_cap} times
+    its base rows: a cycle of RICs that multiplies rows each round is
+    then left with dangling references instead of growing without
+    bound. The result is a deterministic function of [seed] (default
+    42); keys hold because each row's key is distinct by construction. *)
+
+val repair_cap : int
+(** The repair's size bound, as a multiple of the base rows. *)
 
 val populate_cached :
   ?rows_per_table:int ->

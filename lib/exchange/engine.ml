@@ -311,8 +311,8 @@ let intern_plan (plan : Plan.t) =
    contain rows with different cell values and rows tombstoned since
    the last rebuild — so every candidate is re-verified here by int
    compare before reaching [f]. [tick] runs per candidate considered
-   (budget accounting, matching the boxed engine's per-bucket-tuple
-   ticks). [cache = false] guarantees the probe never mutates the
+   (budget accounting: one tick per bucket
+   tuple). [cache = false] guarantees the probe never mutates the
    store: required by the parallel scan phase, where worker domains
    probe concurrently and only pre-built indexes may be used. *)
 let probe_iter ?(cache = true) st (cols : int array) (codes : int array) ~tick
@@ -662,8 +662,8 @@ module Pool = Smg_parallel.Pool
    per task, so task overhead amortizes at generator scale, and at most
    [parallel_chunks] tasks, a fan-out independent of the domain count so
    budget accounting is too. Each worker enumerates its join bindings
-   against pre-built indexes and collects env copies. Unlike the boxed
-   predecessor, phase 1 runs no satisfaction checks: workers allocate
+   against pre-built indexes and collects env copies. Phase 1 runs no
+   satisfaction checks: workers allocate
    nothing but the env copies and never touch the chase's global Skolem
    table, so there is no cross-domain contention to serialize on.
 
@@ -841,8 +841,7 @@ let egd_pass e =
    (dedup through the fresh membership shards), changed rows become the
    store's delta for semi-naive re-firing, and cached indexes are
    dropped (rebuilt lazily). Rebuilt stores are always tracked — this
-   is where source stores pay for membership, exactly like the boxed
-   engine's s_seen rebuild. *)
+   is where source stores pay for membership. *)
 let apply_subst e subst =
   let rec resolve c =
     if c >= 0 then c

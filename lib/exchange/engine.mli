@@ -13,9 +13,8 @@
     equivalent to the naive {!Smg_cq.Chase.exchange} output; with
     [~laconic:true] the tgds are normalised first and single-fact
     redundancy is swept afterwards ({!Laconic}), yielding a near-core
-    instance directly. Unlike [Chase.exchange], source and target live
-    in separate namespaces, so schemas sharing table names execute
-    without renaming. *)
+    instance directly. Source and target live in separate stores, so
+    schemas sharing table names execute without renaming. *)
 
 type report = {
   r_target : Smg_relational.Instance.t;  (** the target instance *)

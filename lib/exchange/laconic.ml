@@ -85,16 +85,18 @@ let prepare tgds =
 
    The sweep reads interned codes (labelled nulls are the negative
    codes, see {!Smg_relational.Intern}): relations in the order given,
-   rows in arena order, whole passes repeated until one drops nothing.
-   Condition (ii) is tested first, because it is local and nearly
-   always fails at once. A subsuming [t'] must agree on [t]'s non-null
-   cells (a null there could not equal [t]'s constant), so its null
-   positions are a subset of [t]'s: either [t'] has [t]'s null
-   positions and constants — one probe of a table that hashes the
-   cells with every null as one wildcard — or it lies in a group with
-   strictly fewer null positions. The global null counts behind (i) are
-   built only when the first tuple passes (ii); no tuple is dropped
-   before that, so they count the input exactly. *)
+   rows in arena order, in one pass. One pass suffices: a dropped
+   tuple's nulls occur nowhere else, so the drop changes no other
+   tuple's condition (i), and it only removes candidates for (ii), so
+   no drop makes another tuple droppable. For the same reason the null
+   counts are never decremented. Condition (ii) is tested first,
+   because it is local and nearly always fails at once. A subsuming
+   [t'] must agree on [t]'s non-null cells (a null there could not
+   equal [t]'s constant), so its null positions are a subset of [t]'s:
+   either [t'] has [t]'s null positions and constants — one probe of a
+   table that hashes the cells with every null as one wildcard — or it
+   lies in a group with strictly fewer null positions. The global null
+   counts behind (i) are built only when the first tuple passes (ii). *)
 
 type coded = { arity : int; data : int array; rows : int array }
 
@@ -194,96 +196,83 @@ let sweep_relation ~counts ~dropped { arity; data; rows } live =
     in
     go 0
   in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let same = Same.create (max 16 n) and masks = Mask.create 8 in
-    let none = ref [] in
-    let exact = Array.make n none and group = Array.make n (-1) in
-    let reps = ref [] and ngroups = ref 0 in
-    for k = 0 to n - 1 do
-      if live.(k) then begin
-        (match Same.find_opt same k with
-        | Some l ->
-            l := k :: !l;
-            exact.(k) <- l
-        | None ->
-            let l = ref [ k ] in
-            Same.add same k l;
-            exact.(k) <- l);
-        group.(k) <-
-          (match Mask.find_opt masks k with
-          | Some g -> g
-          | None ->
-              let g = !ngroups in
-              Mask.add masks k g;
-              incr ngroups;
-              reps := base k :: !reps;
-              g)
-      end
-    done;
-    let reps = Array.of_list (List.rev !reps) in
-    let members = Array.make !ngroups [] in
-    for k = n - 1 downto 0 do
-      if live.(k) then members.(group.(k)) <- k :: members.(group.(k))
-    done;
-    let has_null =
-      Array.map
-        (fun b ->
-          let rec go p = p < arity && (data.(b + p) < 0 || go (p + 1)) in
-          go 0)
-        reps
-    in
-    (* the groups whose null positions are a strict subset of [g]'s
-       (distinct groups have distinct positions) *)
-    let subsets = Array.make !ngroups None in
-    let subsets_of g =
-      match subsets.(g) with
-      | Some l -> l
+  let same = Same.create (max 16 n) and masks = Mask.create 8 in
+  let exact = Array.make n (ref []) and group = Array.make n (-1) in
+  let reps = ref [] and ngroups = ref 0 in
+  for k = 0 to n - 1 do
+    (match Same.find_opt same k with
+    | Some l ->
+        l := k :: !l;
+        exact.(k) <- l
+    | None ->
+        let l = ref [ k ] in
+        Same.add same k l;
+        exact.(k) <- l);
+    group.(k) <-
+      (match Mask.find_opt masks k with
+      | Some g -> g
       | None ->
-          let bg = reps.(g) in
-          let within g' =
-            let b' = reps.(g') in
-            let rec go p =
-              p = arity || ((data.(b' + p) >= 0 || data.(bg + p) < 0) && go (p + 1))
-            in
-            g' <> g && go 0
+          let g = !ngroups in
+          Mask.add masks k g;
+          incr ngroups;
+          reps := base k :: !reps;
+          g)
+  done;
+  let reps = Array.of_list (List.rev !reps) in
+  let members = Array.make !ngroups [] in
+  for k = n - 1 downto 0 do
+    members.(group.(k)) <- k :: members.(group.(k))
+  done;
+  let has_null =
+    Array.map
+      (fun b ->
+        let rec go p = p < arity && (data.(b + p) < 0 || go (p + 1)) in
+        go 0)
+      reps
+  in
+  (* the groups whose null positions are a strict subset of [g]'s
+     (distinct groups have distinct positions) *)
+  let subsets = Array.make !ngroups None in
+  let subsets_of g =
+    match subsets.(g) with
+    | Some l -> l
+    | None ->
+        let bg = reps.(g) in
+        let within g' =
+          let b' = reps.(g') in
+          let rec go p =
+            p = arity || ((data.(b' + p) >= 0 || data.(bg + p) < 0) && go (p + 1))
           in
-          let l = List.filter within (List.init !ngroups Fun.id) in
-          subsets.(g) <- Some l;
-          l
-    in
-    for k = 0 to n - 1 do
-      if live.(k) && has_null.(group.(k)) then begin
-        let prepared = ref false in
-        let candidate j =
-          j <> k && live.(j)
-          && begin
-               if not !prepared then begin
-                 prepare k;
-                 prepared := true
-               end;
-               consistent k j
-             end
+          g' <> g && go 0
         in
-        if
-          (List.exists candidate !(exact.(k))
-          || List.exists
-               (fun g -> List.exists candidate members.(g))
-               (subsets_of group.(k)))
-          && only_here (Lazy.force counts) k
-        then begin
-          live.(k) <- false;
-          incr dropped;
-          changed := true;
-          let counts = Lazy.force counts and b = base k in
-          for p = 0 to arity - 1 do
-            let x = data.(b + p) in
-            if x < 0 then Codes.replace counts x (Codes.find counts x - 1)
-          done
-        end
+        let l = List.filter within (List.init !ngroups Fun.id) in
+        subsets.(g) <- Some l;
+        l
+  in
+  for k = 0 to n - 1 do
+    if has_null.(group.(k)) then begin
+      let prepared = ref false in
+      let candidate j =
+        j <> k && live.(j)
+        && begin
+             if not !prepared then begin
+               prepare k;
+               prepared := true
+             end;
+             consistent k j
+           end
+      in
+      if
+        (List.exists candidate !(exact.(k))
+        || List.exists
+             (fun g -> List.exists candidate members.(g))
+             (subsets_of group.(k)))
+        && only_here (Lazy.force counts) k
+      then begin
+        live.(k) <- false;
+        incr dropped
       end
-    done
+    end
   done
 
 let sweep_coded rels =
@@ -291,19 +280,18 @@ let sweep_coded rels =
   let counts =
     lazy
       (let c = Codes.create 1024 in
-       List.iter2
-         (fun { arity; data; rows } live ->
-           Array.iteri
-             (fun k row ->
-               if live.(k) then
-                 for p = row * arity to ((row + 1) * arity) - 1 do
-                   let x = data.(p) in
-                   if x < 0 then
-                     Codes.replace c x
-                       (1 + Option.value ~default:0 (Codes.find_opt c x))
-                 done)
+       List.iter
+         (fun { arity; data; rows } ->
+           Array.iter
+             (fun row ->
+               for p = row * arity to ((row + 1) * arity) - 1 do
+                 let x = data.(p) in
+                 if x < 0 then
+                   Codes.replace c x
+                     (1 + Option.value ~default:0 (Codes.find_opt c x))
+               done)
              rows)
-         rels live;
+         rels;
        c)
   in
   let dropped = ref 0 in

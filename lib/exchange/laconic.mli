@@ -29,10 +29,9 @@ val sweep_coded : coded list -> bool array list * int
     nulls occur in no other live row of any given relation and which is
     subsumed by another live row of its own relation under a consistent
     null assignment. Relations are swept in list order (callers pass
-    them in name order), rows in arena order, in passes repeated until
-    one drops nothing; each drop decrements the null counts. Returns,
-    per relation, a survivor mask aligned with [rows], and the number
-    of rows dropped. *)
+    them in name order), rows in arena order, in one pass: no drop
+    makes another row droppable. Returns, per relation, a survivor mask
+    aligned with [rows], and the number of rows dropped. *)
 
 val sweep :
   Smg_relational.Instance.t -> Smg_relational.Instance.t * int

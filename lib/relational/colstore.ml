@@ -361,8 +361,8 @@ let prune_indexes t =
   t.cs_indexes <- List.map (fun ix -> build_index t ix.x_cols) t.cs_indexes;
   t.cs_ix_dead <- 0
 
-(* amortized: rebuild index buckets once tombstones dominate, matching the
-   boxed engine's 50%-rot policy *)
+(* amortized: rebuild index buckets once tombstones make up half of
+   them *)
 let maybe_prune t =
   if t.cs_ix_dead > 64 && t.cs_ix_dead * 2 > max 1 t.cs_count then
     prune_indexes t

@@ -66,6 +66,11 @@ let index_of header c =
 let project_tuple r tup cols =
   Array.of_list (List.map (fun c -> tup.(index_of r.header c)) cols)
 
+(* The cells' printed forms, NUL-separated: the key the membership
+   checks below hash on. *)
+let cells_key cells = String.concat "\x00" (List.map Value.to_string cells)
+let tuple_key tup = cells_key (Array.to_list tup)
+
 let check_keys schema inst =
   List.concat_map
     (fun (t : Schema.table) ->
@@ -78,10 +83,7 @@ let check_keys schema inst =
             List.filter_map
               (fun tup ->
                 let k =
-                  List.map
-                    (fun c -> Value.to_string tup.(index_of r.header c))
-                    t.key
-                  |> String.concat "\x00"
+                  cells_key (List.map (fun c -> tup.(index_of r.header c)) t.key)
                 in
                 match Hashtbl.find_opt tbl k with
                 | Some prev when not (tuple_equal prev tup) ->
@@ -105,21 +107,16 @@ let check_rics schema inst =
           let targets = Hashtbl.create 64 in
           List.iter
             (fun tup ->
-              let k =
-                List.map
-                  (fun c -> Value.to_string tup.(index_of to_rel.header c))
-                  r.to_cols
-                |> String.concat "\x00"
-              in
-              Hashtbl.replace targets k ())
+              Hashtbl.replace targets
+                (cells_key
+                   (List.map (fun c -> tup.(index_of to_rel.header c)) r.to_cols))
+                ())
             to_rel.tuples;
           List.filter_map
             (fun tup ->
               let k =
-                List.map
-                  (fun c -> Value.to_string tup.(index_of from_rel.header c))
-                  r.from_cols
-                |> String.concat "\x00"
+                cells_key
+                  (List.map (fun c -> tup.(index_of from_rel.header c)) r.from_cols)
               in
               if Hashtbl.mem targets k then None else Some (r.ric_name, tup))
             from_rel.tuples)

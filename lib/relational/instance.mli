@@ -31,6 +31,11 @@ val total_tuples : t -> int
 
 val mem_tuple : relation -> Value.t array -> bool
 
+val tuple_key : Value.t array -> string
+(** The whole tuple serialized: each cell's {!Value.to_string},
+    NUL-separated. Equal tuples get equal keys, so it serves as a
+    hash key for set semantics and as a stable digest input. *)
+
 val equal : t -> t -> bool
 (** Same non-empty relations with the same tuple sets (headers are not
     compared; tuples are compared as sets, which relations kept through

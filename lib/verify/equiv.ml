@@ -1,6 +1,5 @@
 module Value = Smg_relational.Value
 module Instance = Smg_relational.Instance
-module Index = Smg_relational.Index
 module Atom = Smg_cq.Atom
 
 (* A homomorphism between instances decomposes: constants map to
@@ -22,7 +21,9 @@ let facts_of inst =
           List.map (fun tup -> { f_pred = name; f_tup = tup }) r.Instance.tuples)
     (Instance.names inst)
 
-let fact_key f = f.f_pred ^ "\x01" ^ Index.tuple_key f.f_tup
+(* ground facts are looked up structurally: interning them would grow
+   the global pool with every instance compared *)
+let fact_key f = (f.f_pred, f.f_tup)
 
 let nulls_of_fact f =
   Array.to_list f.f_tup

@@ -217,6 +217,53 @@ let test_exchange () =
       Alcotest.(check bool) "labelled null invented" true (Value.is_null t.(1))
   | _ -> Alcotest.fail "exchange should saturate"
 
+(* Mondial's shape: both sides name a table [country]. The chase keeps
+   the sides apart, so the source rows neither come back as target rows
+   nor trigger the tgd again. *)
+let test_exchange_shared_table_name () =
+  let source =
+    Schema.make ~name:"src"
+      [ Schema.table "country" [ ("name", Schema.TString); ("code", Schema.TString) ] ]
+      []
+  in
+  let target =
+    Schema.make ~name:"tgt"
+      [
+        Schema.table ~key:[ "code" ] "country"
+          [ ("code", Schema.TString); ("name", Schema.TString); ("capital", Schema.TString) ];
+      ]
+      []
+  in
+  let m =
+    Dependency.tgd ~name:"m" ~lhs:[ a "country" [ v "n"; v "c" ] ]
+      [ a "country" [ v "c"; v "n"; v "z" ] ]
+  in
+  let src_inst =
+    List.fold_left
+      (fun i (n, c) ->
+        Instance.add_tuple i "country" ~header:[ "name"; "code" ]
+          [| Value.VString n; Value.VString c |])
+      Instance.empty
+      [ ("France", "F"); ("Peru", "PE") ]
+  in
+  match Chase.exchange ~source ~target ~mappings:[ m ] src_inst with
+  | Chase.Saturated i ->
+      Alcotest.(check (list string)) "only the target relation" [ "country" ]
+        (Instance.names i);
+      let rows =
+        (Option.get (Instance.relation i "country")).Instance.tuples
+        |> List.map (fun t ->
+               Alcotest.(check int) "target arity" 3 (Array.length t);
+               Alcotest.(check bool) "capital is a null" true (Value.is_null t.(2));
+               (Value.to_string t.(0), Value.to_string t.(1)))
+        |> List.sort compare
+      in
+      Alcotest.(check (list (pair string string)))
+        "the chased target tuples"
+        [ ("\"F\"", "\"France\""); ("\"PE\"", "\"Peru\"") ]
+        rows
+  | _ -> Alcotest.fail "exchange should saturate"
+
 let test_chase_bounded () =
   (* a tgd that keeps inventing values: r(x,y) → r(y,z) never saturates *)
   let t =
@@ -447,6 +494,8 @@ let suite =
         Alcotest.test_case "egd merges nulls" `Quick test_chase_egd_merges_nulls;
         Alcotest.test_case "egd conflict fails" `Quick test_chase_egd_conflict;
         Alcotest.test_case "data exchange" `Quick test_exchange;
+        Alcotest.test_case "exchange with a table name on both sides" `Quick
+          test_exchange_shared_table_name;
         Alcotest.test_case "schema dependencies" `Quick test_key_egds_and_ric_tgds;
         Alcotest.test_case "bounded chase" `Quick test_chase_bounded;
         Alcotest.test_case "saturation / contained_under" `Quick

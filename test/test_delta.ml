@@ -700,7 +700,7 @@ let split_inst k inst =
       | Some r ->
           let keep, drop =
             List.partition
-              (fun tup -> Hashtbl.hash (Smg_relational.Index.tuple_key tup) mod k <> 0)
+              (fun tup -> Hashtbl.hash (Instance.tuple_key tup) mod k <> 0)
               r.Instance.tuples
           in
           let kept =
@@ -749,14 +749,14 @@ let prop_maintain_equiv =
                     | None -> inst
                     | Some r ->
                         let dead =
-                          List.map Smg_relational.Index.tuple_key tuples
+                          List.map Instance.tuple_key tuples
                         in
                         let keep =
                           List.filter
                             (fun t ->
                               not
                                 (List.mem
-                                   (Smg_relational.Index.tuple_key t)
+                                   (Instance.tuple_key t)
                                    dead))
                             r.Instance.tuples
                         in

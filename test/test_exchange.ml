@@ -25,12 +25,6 @@ let vs s = Value.VString s
 
 (* ---- helpers ----------------------------------------------------------- *)
 
-(* The naive chase merges both schemas into one namespace, so domains
-   whose sides share table names (Mondial) need the target renamed
-   before the comparison run; Smg_exchange.Naive does that renaming.
-   The engine itself keeps the sides in separate stores. *)
-let naive_exchange = Smg_exchange.Naive.exchange
-
 let hom_into = Smg_verify.Equiv.hom_into
 let hom_equiv = Smg_verify.Equiv.equivalent
 
@@ -145,7 +139,7 @@ let prop_chase_equiv =
       let inst = inst_of src in
       let fast = engine_run inst in
       let naive =
-        naive_exchange ~source:psource ~target:ptarget ~mappings:ptgds inst
+        Chase.exchange ~source:psource ~target:ptarget ~mappings:ptgds inst
       in
       match (fast, naive) with
       | Ok rep, Chase.Saturated i -> hom_equiv rep.Engine.r_target i
@@ -159,7 +153,7 @@ let prop_laconic_embeds =
       let inst = inst_of src in
       match
         ( engine_run ~laconic:true inst,
-          naive_exchange ~source:psource ~target:ptarget ~mappings:ptgds inst )
+          Chase.exchange ~source:psource ~target:ptarget ~mappings:ptgds inst )
       with
       | Ok rep, Chase.Saturated i ->
           let core = Icore.core i in
@@ -290,7 +284,7 @@ let test_skolem_merge () =
   | Ok rep -> (
       Alcotest.(check int) "one merged row" 1
         (Instance.cardinality rep.Engine.r_target "s");
-      match naive_exchange ~source ~target ~mappings:tgds inst with
+      match Chase.exchange ~source ~target ~mappings:tgds inst with
       | Chase.Saturated i ->
           Alcotest.(check bool) "identical to the chase (ground skolems)"
             true
@@ -350,7 +344,7 @@ let test_laconic_near_core () =
   | Error m -> Alcotest.fail m
   | Ok rep -> (
       match
-        naive_exchange ~source:psource ~target:ptarget ~mappings:ptgds inst
+        Chase.exchange ~source:psource ~target:ptarget ~mappings:ptgds inst
       with
       | Chase.Saturated i ->
           let core = Icore.core i in
@@ -626,7 +620,7 @@ let check_domain ~laconic (scen : Scenario.t) () =
   let mappings = scenario_tgds scen in
   let inst = Witness.populate ~rows_per_table:3 ~seed:7 source in
   let fast = Engine.run ~laconic ~source ~target ~mappings inst in
-  let naive = naive_exchange ~source ~target ~mappings inst in
+  let naive = Chase.exchange ~source ~target ~mappings inst in
   match (fast, naive) with
   | Ok rep, Chase.Saturated i ->
       Alcotest.(check bool)
@@ -667,7 +661,7 @@ let test_outer_variants () =
   let target = Fixtures.Employees.target_schema in
   match
     ( Engine.run ~source ~target ~mappings:tgds i,
-      naive_exchange ~source ~target ~mappings:tgds i )
+      Chase.exchange ~source ~target ~mappings:tgds i )
   with
   | Ok rep, Chase.Saturated out ->
       Alcotest.(check int) "two employees (ada merged, bob kept)" 2

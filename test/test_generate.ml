@@ -179,7 +179,7 @@ let test_fixture_engine_vs_chase () =
   let inst = Gen.source_instance ~scale:300 g in
   match
     ( Engine.run ~source ~target ~mappings:tgds inst,
-      Smg_exchange.Naive.exchange ~source ~target ~mappings:tgds inst )
+      Chase.exchange ~source ~target ~mappings:tgds inst )
   with
   | Ok rep, Chase.Saturated naive ->
       Alcotest.(check bool)

@@ -405,6 +405,29 @@ let prop_pipeline_never_crashes =
               ());
       true)
 
+(* The schema behind the property above's slow seed (QCHECK_SEED=4): a
+   cycle of six RICs over three tables where each repair round inserts
+   rows that dangle in turn, about 4.6× more per round. The witness
+   repair must stop at its size cap, leaving references dangling,
+   instead of growing to 10^7 rows over its ten rounds. *)
+let test_witness_repair_cap () =
+  let f = "witness_ric_cycle.smg" in
+  let schema =
+    match
+      Parser.parse_result ~file:f (read_file (Filename.concat (corpus_dir ()) f))
+    with
+    | Ok doc -> List.hd doc.Ast.doc_schemas
+    | Error d -> Alcotest.failf "%s should parse: %a" f Diag.pp d
+  in
+  let rows = 5 in
+  let base = rows * List.length schema.Schema.tables in
+  let inst = Smg_eval.Witness.populate ~rows_per_table:rows ~seed:4 schema in
+  Alcotest.(check int) "stops at the cap"
+    (Smg_eval.Witness.repair_cap * base)
+    (Smg_relational.Instance.total_tuples inst);
+  Alcotest.(check bool) "references left dangling" true
+    (Smg_relational.Instance.check_rics schema inst <> [])
+
 (* ---- acceptance: tiny fuel on a real domain ---------------------------- *)
 
 let test_tiny_fuel_mondial () =
@@ -766,6 +789,8 @@ let suite =
         Alcotest.test_case "corpus validate classes" `Quick
           test_corpus_validate_classes;
         q prop_pipeline_never_crashes;
+        Alcotest.test_case "witness repair stops at the cap" `Quick
+          test_witness_repair_cap;
       ] );
     ( "robust.pipeline",
       [

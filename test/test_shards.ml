@@ -1,8 +1,7 @@
 (* Tests for the interned columnar substrate and its shard partitioning:
    the Intern code/value round-trip, Colstore semantics at several shard
    counts, the engine's shard-invariance matrix (shards {1,3,4,7} ×
-   domains {1,4}), and a differential against the frozen boxed-value
-   reference engine. *)
+   domains {1,4}), and a differential against the chase. *)
 
 module Value = Smg_relational.Value
 module Schema = Smg_relational.Schema
@@ -12,7 +11,6 @@ module Colstore = Smg_relational.Colstore
 module Atom = Smg_cq.Atom
 module Dependency = Smg_cq.Dependency
 module Engine = Smg_exchange.Engine
-module Refengine = Smg_exchange.Refengine
 module Pool = Smg_parallel.Pool
 module Render = Smg_serve.Render
 module Equiv = Smg_verify.Equiv
@@ -225,45 +223,36 @@ let test_engine_shard_matrix () =
             (Equiv.equivalent base_target target)))
     shard_counts
 
-(* ---- boxed reference differential --------------------------------------- *)
+(* ---- chase differential ------------------------------------------------ *)
 
-let test_boxed_differential () =
-  let boxed =
+(* The chase defines what exchange must produce: at every shard count,
+   and under the laconic sweep, the engine's target is ≡hom the chase's. *)
+let test_chase_differential () =
+  let chased =
     match
-      Refengine.run ~source:esource ~target:etarget ~mappings:etgds einst
+      Smg_cq.Chase.exchange ~source:esource ~target:etarget ~mappings:etgds
+        einst
     with
-    | Error m -> Alcotest.failf "refengine: %s" m
-    | Ok rep ->
-        Alcotest.(check bool) "boxed run complete" true rep.Refengine.r_complete;
-        rep.Refengine.r_target
+    | Smg_cq.Chase.Saturated i -> i
+    | Smg_cq.Chase.Bounded _ -> Alcotest.fail "chase did not saturate"
+    | Smg_cq.Chase.Failed m -> Alcotest.failf "chase: %s" m
   in
   List.iter
     (fun shards ->
       let _, target, _ = engine_doc ~shards () in
       Alcotest.(check bool)
-        (Printf.sprintf "interned ≡hom boxed at %d shard(s)" shards)
+        (Printf.sprintf "engine ≡hom chase at %d shard(s)" shards)
         true
-        (Equiv.equivalent boxed target))
+        (Equiv.equivalent chased target))
     shard_counts;
-  (* and under the laconic sweep, both engines still agree *)
-  let lrun laconic_boxed =
-    if laconic_boxed then
-      match
-        Refengine.run ~laconic:true ~source:esource ~target:etarget
-          ~mappings:etgds einst
-      with
-      | Ok rep -> rep.Refengine.r_target
-      | Error m -> Alcotest.failf "refengine laconic: %s" m
-    else
-      match
-        Engine.run ~laconic:true ~shards:3 ~source:esource ~target:etarget
-          ~mappings:etgds einst
-      with
-      | Ok rep -> rep.Engine.r_target
-      | Error m -> Alcotest.failf "engine laconic: %s" m
-  in
-  Alcotest.(check bool) "laconic targets ≡hom" true
-    (Equiv.equivalent (lrun true) (lrun false))
+  match
+    Engine.run ~laconic:true ~shards:3 ~source:esource ~target:etarget
+      ~mappings:etgds einst
+  with
+  | Ok rep ->
+      Alcotest.(check bool) "laconic engine ≡hom chase" true
+        (Equiv.equivalent chased rep.Engine.r_target)
+  | Error m -> Alcotest.failf "engine laconic: %s" m
 
 let suite =
   let q = QCheck_alcotest.to_alcotest in
@@ -279,7 +268,7 @@ let suite =
           test_colstore_of_flat;
         Alcotest.test_case "engine matrix: shards {1,3,4,7} × domains {1,4}"
           `Quick test_engine_shard_matrix;
-        Alcotest.test_case "interned engine tracks the boxed reference" `Quick
-          test_boxed_differential;
+        Alcotest.test_case "interned engine tracks the chase" `Quick
+          test_chase_differential;
       ] );
   ]
