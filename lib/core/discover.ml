@@ -789,18 +789,6 @@ let discover_core ctx ~options ~dedup ~source ~target ~corrs =
                     isa_sibs
                 in
                 let outer = outer || optional_hint in
-                if Sys.getenv_opt "SMG_DEBUG_DISCOVER" <> None then begin
-                  Fmt.epr "[discover] D1 edges:@.";
-                  List.iter
-                    (fun id -> Fmt.epr "  %a@." (Cm_graph.pp_edge source.cmg) id)
-                    d1.c_edges;
-                  Fmt.epr "[discover] D2 edges:@.";
-                  List.iter
-                    (fun id -> Fmt.epr "  %a@." (Cm_graph.pp_edge target.cmg) id)
-                    d2.c_edges;
-                  Fmt.epr "[discover] src rewritings: %d, tgt rewritings: %d@."
-                    (List.length src_rws) (List.length tgt_rws)
-                end;
                 List.concat_map
                   (fun (srw : Rewrite.result) ->
                     List.map

@@ -18,7 +18,6 @@ let dedup xs =
 
 let head_vars q = dedup (List.concat_map Atom.term_vars q.head)
 let body_vars q = Atom.vars_of_list q.body
-let all_vars q = dedup (head_vars q @ body_vars q)
 
 let rename_apart ~suffix q =
   let ren = function
@@ -30,40 +29,6 @@ let rename_apart ~suffix q =
     head = List.map ren q.head;
     body = List.map (fun a -> { a with Atom.args = List.map ren a.Atom.args }) q.body;
   }
-
-(* Homomorphism search: map [atoms] (flexible) into [rigid] facts whose
-   variables act as constants. [init] pre-binds variables. *)
-let matches_into_init ?(init = Atom.Subst.empty) ~rigid atoms =
-  let by_pred = Hashtbl.create 16 in
-  List.iter (fun (a : Atom.t) -> Hashtbl.add by_pred a.pred a) rigid;
-  let rec unify_args subst qargs fargs =
-    match (qargs, fargs) with
-    | [], [] -> Some subst
-    | qa :: qrest, fa :: frest -> (
-        match qa with
-        | Atom.Cst _ ->
-            if Atom.equal_term qa fa then unify_args subst qrest frest
-            else None
-        | Atom.Var x -> (
-            match Atom.Subst.find subst x with
-            | Some bound ->
-                if Atom.equal_term bound fa then unify_args subst qrest frest
-                else None
-            | None -> unify_args (Atom.Subst.bind subst x fa) qrest frest))
-    | _, _ -> None
-  in
-  let rec go subst = function
-    | [] -> [ subst ]
-    | (a : Atom.t) :: rest ->
-        Hashtbl.find_all by_pred a.pred
-        |> List.concat_map (fun (f : Atom.t) ->
-               match unify_args subst a.args f.args with
-               | Some subst' -> go subst' rest
-               | None -> [])
-  in
-  go init atoms
-
-let matches_into ~rigid atoms = matches_into_init ~rigid atoms
 
 let homomorphism ~from_ ~to_ =
   if List.length from_.head <> List.length to_.head then None
@@ -86,34 +51,24 @@ let homomorphism ~from_ ~to_ =
     in
     match seed with
     | None -> None
-    | Some seed -> (
-        match matches_into_init ~init:seed ~rigid:to_.body from_.body with
-        | [] -> None
-        | s :: _ -> Some s)
+    | Some seed -> Hom.find ~init:seed (Hom.index to_.body) from_.body
 
 let contained_in q1 q2 = Option.is_some (homomorphism ~from_:q2 ~to_:q1)
 let equivalent q1 q2 = contained_in q1 q2 && contained_in q2 q1
 
+(* Fold the query onto a subquery: an atom goes when the full query
+   still maps into the remaining body, head fixed. One pass suffices:
+   dropping atoms only removes fold targets, so an atom that could not
+   be dropped never can later. *)
 let minimize q =
-  (* Fold the query onto a subquery: drop an atom if a homomorphism from
-     the full query into the reduced one (fixing the head) exists. *)
-  let head_identity q' =
-    (* hom from q (full body) to q' (reduced) with identical heads *)
-    Option.is_some (homomorphism ~from_:q ~to_:q')
+  let rec shrink kept = function
+    | [] -> List.rev kept
+    | a :: rest ->
+        let without = { q with body = List.rev_append kept rest } in
+        if Option.is_some (homomorphism ~from_:q ~to_:without) then shrink kept rest
+        else shrink (a :: kept) rest
   in
-  let rec shrink body =
-    let try_drop i =
-      let body' = List.filteri (fun j _ -> j <> i) body in
-      let q' = { q with body = body' } in
-      if head_identity q' then Some body' else None
-    in
-    let rec first i =
-      if i >= List.length body then None
-      else match try_drop i with Some b -> Some b | None -> first (i + 1)
-    in
-    match first 0 with None -> body | Some b -> shrink b
-  in
-  { q with body = shrink q.body }
+  { q with body = shrink [] q.body }
 
 let ground_matches inst atoms =
   let module SM = Map.Make (String) in

@@ -10,7 +10,6 @@ type t = { name : string; head : Atom.term list; body : Atom.t list }
 val make : ?name:string -> head:Atom.term list -> Atom.t list -> t
 val head_vars : t -> string list
 val body_vars : t -> string list
-val all_vars : t -> string list
 
 val rename_apart : suffix:string -> t -> t
 (** Rename every variable by appending [suffix]. *)
@@ -19,10 +18,6 @@ val homomorphism : from_:t -> to_:t -> Atom.Subst.t option
 (** A homomorphism [h] from [from_]'s body into [to_]'s body (variables
     of [to_] are rigid) with [h(from_.head) = to_.head] positionally;
     [None] if heads have different arities or no homomorphism exists. *)
-
-val matches_into : rigid:Atom.t list -> Atom.t list -> Atom.Subst.t list
-(** All homomorphisms of the given atom list into the rigid fact list
-    (variables occurring in [rigid] behave as constants). *)
 
 val contained_in : t -> t -> bool
 (** [contained_in q1 q2] is true iff the answers of [q1] are a subset of

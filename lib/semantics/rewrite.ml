@@ -525,8 +525,6 @@ let rewrite ~cmg ~schema ~strees ?(max_covers = 800) ?(required_tables = []) q =
   let results = List.filter mentions_required !results in
   let results = List.map (merge_by_keys ~schema) results in
   let minimized = List.map Query.minimize results in
-  if Sys.getenv_opt "SMG_DEBUG_REWRITE" <> None then
-    List.iter (fun q -> Fmt.epr "[rewrite.min] %a@." Query.pp q) minimized;
   (* fast syntactic dedupe first, then the semantic one *)
   let syntactic = Hashtbl.create 64 in
   let minimized =

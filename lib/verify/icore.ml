@@ -2,6 +2,7 @@ module Value = Smg_relational.Value
 module Instance = Smg_relational.Instance
 module Atom = Smg_cq.Atom
 module Chase = Smg_cq.Chase
+module Hom = Smg_cq.Hom
 
 let null_var k = Printf.sprintf "?n%d" k
 
@@ -17,15 +18,17 @@ let fold_relations inst f acc =
       | Some r -> f acc name r)
     acc (Instance.names inst)
 
-let atoms_of inst =
+let facts inst =
   fold_relations inst
     (fun acc name (r : Instance.relation) ->
-      acc
-      @ List.map
-          (fun tup ->
-            Atom.atom name (List.map term_of_value (Array.to_list tup)))
-          r.Instance.tuples)
+      List.fold_left (fun acc tup -> (name, tup) :: acc) acc r.Instance.tuples)
     []
+  |> Array.of_list
+
+let flexible (name, tup) =
+  Atom.atom name (List.map term_of_value (Array.to_list tup))
+
+let frozen (name, tup) = Atom.atom name (List.map Atom.c (Array.to_list tup))
 
 let apply_endomorphism inst subst =
   fold_relations inst
@@ -52,10 +55,10 @@ let apply_endomorphism inst subst =
    exists on [n]'s component — the facts reachable from [n] through
    shared nulls: facts of other components never mention [n], so the
    identity extends any component retraction, and conversely any full
-   retraction restricts to one. Searching only the component (with the
-   full frozen instance minus [n]'s facts as the rigid side) replaces
-   the old whole-instance search, which rescanned and re-matched every
-   fact for every null — the quadratic hot spot of core computation. *)
+   retraction restricts to one. Searching only the component, against
+   one index of the frozen instance per pass state, replaces a
+   whole-instance search that rescanned and re-matched every fact for
+   every null — the quadratic hot spot of core computation. *)
 
 let rec uf_find parent k =
   match Hashtbl.find_opt parent k with
@@ -69,86 +72,61 @@ let uf_union parent a b =
   let ra = uf_find parent a and rb = uf_find parent b in
   if ra <> rb then Hashtbl.replace parent ra rb
 
-type pass_state = {
-  ps_facts : (string * Value.t array) array;
-  ps_frozen : Atom.t array;  (* every value (nulls included) as a constant *)
-  ps_null_facts : (int, int list) Hashtbl.t;  (* null -> indices of its facts *)
-  ps_parent : (int, int) Hashtbl.t;  (* union-find over null labels *)
-  ps_comps : (int, int list) Hashtbl.t;  (* component root -> fact indices *)
-}
-
 let nulls_of_tuple tup =
   Array.fold_left
     (fun acc v -> match v with Value.VNull k -> k :: acc | _ -> acc)
     [] tup
 
-let build_state inst =
-  let facts =
-    fold_relations inst
-      (fun acc name (r : Instance.relation) ->
-        List.fold_left (fun acc tup -> (name, tup) :: acc) acc r.Instance.tuples)
-      []
-    |> Array.of_list
-  in
-  let frozen =
-    Array.map
-      (fun (name, tup) ->
-        Atom.atom name (List.map (fun v -> Atom.Cst v) (Array.to_list tup)))
-      facts
-  in
-  let null_facts = Hashtbl.create 64 in
+type components = { root : int -> int; members : (int, int list) Hashtbl.t }
+
+let components tups =
   let parent = Hashtbl.create 64 in
-  Array.iteri
-    (fun i (_, tup) ->
-      match List.sort_uniq compare (nulls_of_tuple tup) with
+  Array.iter
+    (fun tup ->
+      match nulls_of_tuple tup with
       | [] -> ()
-      | k0 :: rest as ks ->
-          List.iter
-            (fun k ->
-              Hashtbl.replace null_facts k
-                (i :: Option.value ~default:[] (Hashtbl.find_opt null_facts k)))
-            ks;
-          List.iter (fun k -> uf_union parent k0 k) rest)
-    facts;
-  let comps = Hashtbl.create 16 in
+      | k0 :: rest -> List.iter (uf_union parent k0) rest)
+    tups;
+  let members = Hashtbl.create 16 in
   Array.iteri
-    (fun i (_, tup) ->
+    (fun i tup ->
       match nulls_of_tuple tup with
       | [] -> ()
       | k :: _ ->
           let root = uf_find parent k in
-          Hashtbl.replace comps root
-            (i :: Option.value ~default:[] (Hashtbl.find_opt comps root)))
-    facts;
+          Hashtbl.replace members root
+            (i :: Option.value ~default:[] (Hashtbl.find_opt members root)))
+    tups;
+  { root = uf_find parent; members }
+
+type pass_state = {
+  ps_facts : (string * Value.t array) array;
+  ps_frozen : Hom.index;  (* every value (nulls included) as a constant *)
+  ps_comps : components;
+}
+
+let build_state inst =
+  let facts = facts inst in
   {
     ps_facts = facts;
-    ps_frozen = frozen;
-    ps_null_facts = null_facts;
-    ps_parent = parent;
-    ps_comps = comps;
+    ps_frozen = Hom.index (Array.fold_left (fun acc f -> frozen f :: acc) [] facts);
+    ps_comps = components (Array.map snd facts);
   }
 
+let nulls st =
+  Array.fold_left (fun acc (_, tup) -> nulls_of_tuple tup @ acc) [] st.ps_facts
+  |> List.sort_uniq compare
+
 (* Try to retract null [n] away: a homomorphism of [n]'s component into
-   the frozen instance minus the facts mentioning [n]. *)
+   the frozen instance that maps no null onto [n] — so its image avoids
+   every fact mentioning [n]. *)
 let try_fold st inst n =
-  match Hashtbl.find_opt st.ps_null_facts n with
+  match Hashtbl.find_opt st.ps_comps.members (st.ps_comps.root n) with
   | None -> None (* already folded away *)
-  | Some mention_ids ->
-      let mentions = Hashtbl.create (List.length mention_ids) in
-      List.iter (fun i -> Hashtbl.replace mentions i ()) mention_ids;
-      let comp_ids = Hashtbl.find st.ps_comps (uf_find st.ps_parent n) in
-      let flex =
-        List.map
-          (fun i ->
-            let name, tup = st.ps_facts.(i) in
-            Atom.atom name (List.map term_of_value (Array.to_list tup)))
-          comp_ids
-      in
-      let rigid = ref [] in
-      Array.iteri
-        (fun i atom -> if not (Hashtbl.mem mentions i) then rigid := atom :: !rigid)
-        st.ps_frozen;
-      Option.map (apply_endomorphism inst) (Hom.find ~rigid:!rigid flex)
+  | Some comp_ids ->
+      let flex = List.map (fun i -> flexible st.ps_facts.(i)) comp_ids in
+      Option.map (apply_endomorphism inst)
+        (Hom.find ~avoid:(Atom.Cst (Value.VNull n)) st.ps_frozen flex)
 
 (* One pass tries every null of the instance once, folding as it goes
    (nulls eliminated by an earlier fold are skipped); a fold can enable
@@ -156,10 +134,6 @@ let try_fold st inst n =
 let core inst =
   let rec pass inst =
     let st0 = build_state inst in
-    let nulls =
-      Hashtbl.fold (fun k _ acc -> k :: acc) st0.ps_null_facts []
-      |> List.sort compare
-    in
     let rec attempt inst st changed = function
       | [] -> (inst, changed)
       | n :: rest -> (
@@ -167,15 +141,14 @@ let core inst =
           | None -> attempt inst st changed rest
           | Some inst' -> attempt inst' (build_state inst') true rest)
     in
-    let inst', changed = attempt inst st0 false nulls in
+    let inst', changed = attempt inst st0 false (nulls st0) in
     if changed then pass inst' else inst'
   in
   pass inst
 
 let is_core inst =
   let st = build_state inst in
-  Hashtbl.fold (fun k _ acc -> k :: acc) st.ps_null_facts []
-  |> List.for_all (fun n -> Option.is_none (try_fold st inst n))
+  List.for_all (fun n -> Option.is_none (try_fold st inst n)) (nulls st)
 
 let of_outcome = function
   | Chase.Saturated i -> Chase.Saturated (core i)

@@ -14,10 +14,28 @@
     instance, so this terminates; when no null can be folded away the
     instance is its own core. *)
 
-val atoms_of : Smg_relational.Instance.t -> Smg_cq.Atom.t list
-(** The instance as atoms, labelled nulls as variables and every other
+val facts : Smg_relational.Instance.t -> (string * Smg_relational.Value.t array) array
+(** Every tuple of the instance, tagged with its relation name. *)
+
+val flexible : string * Smg_relational.Value.t array -> Smg_cq.Atom.t
+(** A tuple as an atom, labelled nulls as variables and every other
     value as a constant (the "flexible" reading used by the fold
     search). *)
+
+val frozen : string * Smg_relational.Value.t array -> Smg_cq.Atom.t
+(** A tuple as a ground atom: every value, labelled nulls included, a
+    constant (the "rigid" reading). *)
+
+type components = {
+  root : int -> int;  (** a null's component, named by its root null *)
+  members : (int, int list) Hashtbl.t;
+      (** root -> indices of the component's tuples, descending *)
+}
+
+val components : Smg_relational.Value.t array array -> components
+(** Group tuples by null-connected component: two tuples are connected
+    when they share a labelled null. Tuples without nulls belong to no
+    component. *)
 
 val core : Smg_relational.Instance.t -> Smg_relational.Instance.t
 (** The core of the instance. Idempotent: [core (core i)] adds nothing. *)

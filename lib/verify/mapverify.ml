@@ -5,19 +5,11 @@ module Atom = Smg_cq.Atom
 module Dependency = Smg_cq.Dependency
 module Chase = Smg_cq.Chase
 module Mapping = Smg_cq.Mapping
+module Hom = Smg_cq.Hom
 
-let atoms_of_instance inst =
-  List.concat_map
-    (fun name ->
-      match Instance.relation inst name with
-      | None -> []
-      | Some r ->
-          List.map
-            (fun tup ->
-              Atom.atom name
-                (List.map (fun v -> Atom.Cst v) (Array.to_list tup)))
-            r.Instance.tuples)
-    (Instance.names inst)
+(* the distinguished constant a variable freezes to in a canonical
+   instance; the prefix keeps it apart from every real value *)
+let frozen_value x = Value.VString ("\000frz!" ^ x)
 
 let canonical_instance schema atoms =
   List.fold_left
@@ -26,7 +18,7 @@ let canonical_instance schema atoms =
       let tup =
         Array.of_list
           (List.map
-             (function Atom.Var x -> Hom.frozen_value x | Atom.Cst c -> c)
+             (function Atom.Var x -> frozen_value x | Atom.Cst c -> c)
              a.Atom.args)
       in
       Instance.add_tuple inst a.Atom.pred ~header tup)
@@ -91,13 +83,13 @@ let tgd_implied_by ~source ~target ~by (t : Dependency.tgd) =
                 List.map
                   (function
                     | Atom.Var x when List.mem x lhs_vars ->
-                        Atom.Cst (Hom.frozen_value x)
+                        Atom.Cst (frozen_value x)
                     | term -> term)
                   a.Atom.args;
             })
           t.Dependency.rhs
       in
-      Hom.holds ~rigid:(atoms_of_instance out) rhs
+      Hom.holds (Hom.index (Array.to_list (Array.map Icore.frozen (Icore.facts out)))) rhs
 
 let implies ~source ~target a b =
   tgd_implied_by ~source ~target ~by:[ Mapping.to_tgd a ] (Mapping.to_tgd b)

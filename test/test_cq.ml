@@ -1,10 +1,12 @@
-(* Tests for Smg_cq: atoms, query containment/minimization/evaluation,
-   dependencies, the chase, mappings. *)
+(* Tests for Smg_cq: atoms, the homomorphism engine, query
+   containment/minimization/evaluation, dependencies, the chase,
+   mappings. *)
 
 module Value = Smg_relational.Value
 module Schema = Smg_relational.Schema
 module Instance = Smg_relational.Instance
 module Atom = Smg_cq.Atom
+module Hom = Smg_cq.Hom
 module Query = Smg_cq.Query
 module Dependency = Smg_cq.Dependency
 module Chase = Smg_cq.Chase
@@ -26,6 +28,63 @@ let test_atom_subst () =
 let test_atom_vars () =
   Alcotest.(check (list string)) "vars in order, deduped" [ "x"; "y" ]
     (Atom.vars_of_list [ a "r" [ v "x"; v "y" ]; a "s" [ v "y"; v "x" ] ])
+
+(* ---- homomorphism engine ----- *)
+
+let fact p xs = a p (List.map Atom.str xs)
+
+let test_hom_find () =
+  let subst = Hom.find (Hom.index [ fact "r" [ "a"; "b" ] ]) [ a "r" [ v "x"; v "y" ] ] in
+  match subst with
+  | None -> Alcotest.fail "expected a homomorphism"
+  | Some s ->
+      Alcotest.(check bool) "x -> a" true
+        (Atom.Subst.find s "x" = Some (Atom.str "a"));
+      Alcotest.(check bool) "y -> b" true
+        (Atom.Subst.find s "y" = Some (Atom.str "b"))
+
+let test_hom_all_count () =
+  let homs =
+    Hom.all
+      (Hom.index [ fact "r" [ "a"; "b" ]; fact "r" [ "a"; "c" ] ])
+      [ a "r" [ v "x"; v "y" ] ]
+  in
+  Alcotest.(check int) "two images" 2 (List.length homs)
+
+let test_hom_limit () =
+  let homs =
+    Hom.all ~limit:1
+      (Hom.index [ fact "r" [ "a"; "b" ]; fact "r" [ "a"; "c" ] ])
+      [ a "r" [ v "x"; v "y" ] ]
+  in
+  Alcotest.(check int) "limit respected" 1 (List.length homs)
+
+let test_hom_forward_check () =
+  (* s(y) has no image at all: the search must fail, not enumerate r's *)
+  Alcotest.(check bool) "no homomorphism" false
+    (Hom.holds
+       (Hom.index [ fact "r" [ "a"; "b" ] ])
+       [ a "r" [ v "x"; v "y" ]; a "s" [ v "y" ] ])
+
+let test_hom_init_pins () =
+  let init = Atom.Subst.of_list [ ("x", Atom.str "z") ] in
+  Alcotest.(check bool) "pre-binding blocks" false
+    (Hom.holds ~init (Hom.index [ fact "r" [ "a"; "b" ] ]) [ a "r" [ v "x"; v "y" ] ]);
+  Alcotest.(check bool) "pre-binding satisfiable" true
+    (Hom.holds ~init
+       (Hom.index [ fact "r" [ "a"; "b" ]; fact "r" [ "z"; "b" ] ])
+       [ a "r" [ v "x"; v "y" ] ])
+
+let test_hom_shared_var_join () =
+  (* r(x,y), r(y,z): y must take the same value in both atoms *)
+  Alcotest.(check bool) "join respected" true
+    (Hom.holds
+       (Hom.index [ fact "r" [ "a"; "b" ]; fact "r" [ "b"; "c" ] ])
+       [ a "r" [ v "x"; v "y" ]; a "r" [ v "y"; v "z" ] ]);
+  Alcotest.(check bool) "broken join rejected" false
+    (Hom.holds
+       (Hom.index [ fact "r" [ "a"; "b" ]; fact "r" [ "c"; "d" ] ])
+       [ a "r" [ v "x"; v "y" ]; a "r" [ v "y"; v "z" ] ])
 
 (* ---- containment ----- *)
 
@@ -61,7 +120,8 @@ let test_constants_in_containment () =
 let test_equivalence_renaming () =
   let qa = q ~head:[ v "x" ] [ a "r" [ v "x"; v "y" ] ] in
   let qb = q ~head:[ v "u" ] [ a "r" [ v "u"; v "w" ] ] in
-  Alcotest.(check bool) "alpha-equivalent" true (Query.equivalent qa qb)
+  Alcotest.(check bool) "alpha-equivalent" true (Query.equivalent qa qb);
+  Alcotest.(check bool) "inequivalent" false (Query.equivalent qa q1)
 
 let test_minimize () =
   (* r(x,y), r(x,z) minimizes to r(x,y) *)
@@ -382,21 +442,55 @@ let test_is_trivial () =
 
 (* ---- property tests ----- *)
 
-let arb_query =
-  (* random small queries over predicates r/2, s/2 with vars x0..x3 *)
+(* random safe CQs over r/2, s/2: args drawn from a small variable pool
+   (plus an occasional constant), head = up to two body variables *)
+let gen_query =
+  QCheck.Gen.(
+    let var = map (Printf.sprintf "x%d") (int_range 0 3) in
+    let term =
+      frequency [ (5, map Atom.v var); (1, map Atom.str (oneofl [ "c"; "d" ])) ]
+    in
+    let atom =
+      let* p = oneofl [ "r"; "s" ] in
+      let* t1 = map Atom.v var in
+      let* t2 = term in
+      return (a p [ t1; t2 ])
+    in
+    let* body = list_size (int_range 1 4) atom in
+    let bv = Atom.vars_of_list body in
+    let* n_head = int_range 1 (min 2 (List.length bv)) in
+    let head = List.filteri (fun i _ -> i < n_head) bv |> List.map Atom.v in
+    return (q ~head body))
+
+let arb_query = QCheck.make gen_query ~print:(Fmt.str "%a" Query.pp)
+
+let gen_extension body =
+  QCheck.Gen.(
+    let var =
+      oneofl
+        (match Atom.vars_of_list body with [] -> [ "x0" ] | vs -> vs)
+    in
+    let atom =
+      let* p = oneofl [ "r"; "s" ] in
+      let* t1 = map Atom.v var in
+      let* t2 = map Atom.v var in
+      return (a p [ t1; t2 ])
+    in
+    list_size (int_range 0 2) atom)
+
+let arb_query_chain =
+  (* q3 ⊆ q2 ⊆ q1 by construction: each extends the previous body *)
   let gen =
     QCheck.Gen.(
-      let var = map (fun i -> v ("x" ^ string_of_int i)) (int_range 0 3) in
-      let atom = map2 (fun p (t1, t2) -> a p [ t1; t2 ])
-          (oneofl [ "r"; "s" ]) (pair var var) in
-      let* body = list_size (int_range 1 4) atom in
-      let* h = var in
-      (* keep the head safe: pick a variable of the body *)
-      let bvars = Atom.vars_of_list body in
-      let h = if List.exists (fun x -> Atom.equal_term (v x) h) bvars then h else v (List.hd bvars) in
-      return (q ~head:[ h ] body))
+      let* q1 = gen_query in
+      let* e1 = gen_extension q1.Query.body in
+      let q2 = { q1 with Query.body = q1.Query.body @ e1 } in
+      let* e2 = gen_extension q2.Query.body in
+      let q3 = { q2 with Query.body = q2.Query.body @ e2 } in
+      return (q1, q2, q3))
   in
-  QCheck.make gen ~print:(fun qq -> Fmt.str "%a" Query.pp qq)
+  QCheck.make gen ~print:(fun (q1, q2, q3) ->
+      Fmt.str "%a@.%a@.%a" Query.pp q1 Query.pp q2 Query.pp q3)
 
 let random_instance seed =
   let vs k = Value.VString ("p" ^ string_of_int (k mod 4)) in
@@ -440,6 +534,19 @@ let prop_containment_reflexive =
   QCheck.Test.make ~name:"containment is reflexive" ~count:100 arb_query
     (fun qq -> Query.contained_in qq qq)
 
+let prop_containment_transitive =
+  QCheck.Test.make ~name:"containment is transitive along extension chains"
+    ~count:100 arb_query_chain (fun (q1, q2, q3) ->
+      (* the chain is contained by construction; transitivity closes it *)
+      Query.contained_in q3 q2
+      && Query.contained_in q2 q1
+      && Query.contained_in q3 q1)
+
+let prop_equivalence_symmetric =
+  QCheck.Test.make ~name:"equivalence is symmetric" ~count:60
+    (QCheck.pair arb_query arb_query) (fun (qa, qb) ->
+      Query.equivalent qa qb = Query.equivalent qb qa)
+
 let prop_minimize_equivalent =
   QCheck.Test.make ~name:"minimization preserves equivalence" ~count:100
     arb_query (fun qq ->
@@ -457,6 +564,86 @@ let prop_rename_apart_equivalent =
     arb_query (fun qq ->
       Query.equivalent qq (Query.rename_apart ~suffix:"_r" qq))
 
+(* Differential check of the engine against exhaustive enumeration:
+   every assignment of the free variables to terms of the rigid side,
+   kept when each atom's image is a rigid fact. The rigid side may hold
+   a variable [y], which must behave as a constant. *)
+let brute_force ~init facts atoms =
+  let free =
+    List.filter
+      (fun x -> Option.is_none (Atom.Subst.find init x))
+      (Atom.vars_of_list atoms)
+  in
+  let domain =
+    List.sort_uniq compare (List.concat_map (fun (f : Atom.t) -> f.Atom.args) facts)
+  in
+  let rec assign s = function
+    | [] ->
+        if
+          List.for_all
+            (fun at -> List.exists (Atom.equal (Atom.apply s at)) facts)
+            atoms
+        then [ s ]
+        else []
+    | x :: rest ->
+        List.concat_map (fun t -> assign (Atom.Subst.bind s x t) rest) domain
+  in
+  assign init free
+
+let arb_hom_problem =
+  let gen =
+    QCheck.Gen.(
+      let cst = map Atom.str (oneofl [ "a"; "b"; "c" ]) in
+      let flex_term =
+        frequency [ (4, map (fun i -> v (Printf.sprintf "x%d" i)) (int_range 0 3)); (1, cst) ]
+      in
+      let rigid_term = frequency [ (4, cst); (1, return (v "y")) ] in
+      let atom term =
+        let* p = oneofl [ "r"; "s" ] in
+        let* t1 = term in
+        let* t2 = term in
+        return (a p [ t1; t2 ])
+      in
+      let* atoms = list_size (int_range 0 4) (atom flex_term) in
+      let* facts = list_size (int_range 0 6) (atom rigid_term) in
+      let* pins =
+        list_repeat 4 (opt ~ratio:0.3 (frequency [ (4, cst); (1, return (v "y")) ]))
+      in
+      let init =
+        List.concat
+          (List.mapi
+             (fun i t -> match t with Some t -> [ (Printf.sprintf "x%d" i, t) ] | None -> [])
+             pins)
+        |> Atom.Subst.of_list
+      in
+      let* limit = int_range 1 3 in
+      return (atoms, facts, init, limit))
+  in
+  QCheck.make gen ~print:(fun (atoms, facts, init, limit) ->
+      Fmt.str "atoms %a@.facts %a@.init %a@.limit %d"
+        (Fmt.Dump.list Atom.pp) atoms (Fmt.Dump.list Atom.pp) facts
+        (Fmt.Dump.list (Fmt.Dump.pair Fmt.string Atom.pp_term))
+        (Atom.Subst.bindings init) limit)
+
+let prop_hom_matches_brute_force =
+  QCheck.Test.make ~name:"all = brute force; limit is a prefix; init kept"
+    ~count:300 arb_hom_problem (fun (atoms, facts, init, limit) ->
+      let homs = Hom.all ~init (Hom.index facts) atoms in
+      let norm l = List.sort_uniq compare (List.map Atom.Subst.bindings l) in
+      let rec prefix k = function
+        | x :: rest when k > 0 -> x :: prefix (k - 1) rest
+        | _ -> []
+      in
+      norm homs = norm (brute_force ~init facts atoms)
+      && List.map Atom.Subst.bindings (Hom.all ~init ~limit (Hom.index facts) atoms)
+         = List.map Atom.Subst.bindings (prefix limit homs)
+      && List.for_all
+           (fun s ->
+             List.for_all
+               (fun (x, t) -> Atom.Subst.find s x = Some t)
+               (Atom.Subst.bindings init))
+           homs)
+
 let suite =
   let qt = QCheck_alcotest.to_alcotest in
   [
@@ -464,6 +651,16 @@ let suite =
       [
         Alcotest.test_case "substitution" `Quick test_atom_subst;
         Alcotest.test_case "vars" `Quick test_atom_vars;
+      ] );
+    ( "cq.hom",
+      [
+        Alcotest.test_case "find binds" `Quick test_hom_find;
+        Alcotest.test_case "all counts" `Quick test_hom_all_count;
+        Alcotest.test_case "limit" `Quick test_hom_limit;
+        Alcotest.test_case "forward check" `Quick test_hom_forward_check;
+        Alcotest.test_case "init pins" `Quick test_hom_init_pins;
+        Alcotest.test_case "shared-variable join" `Quick test_hom_shared_var_join;
+        qt prop_hom_matches_brute_force;
       ] );
     ( "cq.containment",
       [
@@ -476,6 +673,8 @@ let suite =
         Alcotest.test_case "minimize" `Quick test_minimize;
         Alcotest.test_case "minimize keeps core" `Quick test_minimize_keeps_needed;
         qt prop_containment_reflexive;
+        qt prop_containment_transitive;
+        qt prop_equivalence_symmetric;
         qt prop_minimize_equivalent;
         qt prop_minimize_idempotent;
         qt prop_rename_apart_equivalent;

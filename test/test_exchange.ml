@@ -10,7 +10,7 @@ module Atom = Smg_cq.Atom
 module Dependency = Smg_cq.Dependency
 module Chase = Smg_cq.Chase
 module Mapping = Smg_cq.Mapping
-module Hom = Smg_verify.Hom
+module Hom = Smg_cq.Hom
 module Icore = Smg_verify.Icore
 module Plan = Smg_exchange.Plan
 module Engine = Smg_exchange.Engine
@@ -46,9 +46,9 @@ let const_atoms inst =
 (* (source, target) ⊨ tgd: every lhs match over the source extends to an
    rhs match over the target (existentials as wildcards). *)
 let satisfies_tgd src_inst tgt_inst (t : Dependency.tgd) =
-  let src_atoms = const_atoms src_inst in
-  let tgt_atoms = const_atoms tgt_inst in
-  Hom.all ~rigid:src_atoms t.Dependency.lhs
+  let src_atoms = Hom.index (const_atoms src_inst) in
+  let tgt_atoms = Hom.index (const_atoms tgt_inst) in
+  Hom.all src_atoms t.Dependency.lhs
   |> List.for_all (fun s ->
          let universals = Dependency.universal_vars t in
          let init =
@@ -59,7 +59,7 @@ let satisfies_tgd src_inst tgt_inst (t : Dependency.tgd) =
                | None -> acc)
              Atom.Subst.empty universals
          in
-         Hom.holds ~init ~rigid:tgt_atoms t.Dependency.rhs)
+         Hom.holds ~init tgt_atoms t.Dependency.rhs)
 
 (* ---- fixed property-test mapping --------------------------------------- *)
 

@@ -1,7 +1,8 @@
-(* Tests for Smg_verify: the fail-first homomorphism engine, CQ
-   containment/equivalence/minimization over canonical instances,
+(* Tests for Smg_verify: the CQ containment, equivalence and
+   minimization the verification layer relies on ({!Smg_cq.Query}),
    chase-based mapping implication and dedup, and core computation —
-   hand-checked fixtures plus qcheck properties. *)
+   hand-checked fixtures plus qcheck properties. The homomorphism engine
+   beneath them is tested in test_cq.ml. *)
 
 module Value = Smg_relational.Value
 module Schema = Smg_relational.Schema
@@ -10,8 +11,6 @@ module Atom = Smg_cq.Atom
 module Query = Smg_cq.Query
 module Dependency = Smg_cq.Dependency
 module Mapping = Smg_cq.Mapping
-module Hom = Smg_verify.Hom
-module Contain = Smg_verify.Contain
 module Mapverify = Smg_verify.Mapverify
 module Icore = Smg_verify.Icore
 
@@ -19,104 +18,58 @@ let v = Atom.v
 let a = Atom.atom
 let q ?name ~head body = Query.make ?name ~head body
 
-(* ---- homomorphism engine ----- *)
-
-let fact p xs = a p (List.map Atom.str xs)
-
-let test_hom_find () =
-  let subst = Hom.find ~rigid:[ fact "r" [ "a"; "b" ] ] [ a "r" [ v "x"; v "y" ] ] in
-  match subst with
-  | None -> Alcotest.fail "expected a homomorphism"
-  | Some s ->
-      Alcotest.(check bool) "x -> a" true
-        (Atom.Subst.find s "x" = Some (Atom.str "a"));
-      Alcotest.(check bool) "y -> b" true
-        (Atom.Subst.find s "y" = Some (Atom.str "b"))
-
-let test_hom_all_count () =
-  let homs =
-    Hom.all
-      ~rigid:[ fact "r" [ "a"; "b" ]; fact "r" [ "a"; "c" ] ]
-      [ a "r" [ v "x"; v "y" ] ]
-  in
-  Alcotest.(check int) "two images" 2 (List.length homs)
-
-let test_hom_limit () =
-  let homs =
-    Hom.all ~limit:1
-      ~rigid:[ fact "r" [ "a"; "b" ]; fact "r" [ "a"; "c" ] ]
-      [ a "r" [ v "x"; v "y" ] ]
-  in
-  Alcotest.(check int) "limit respected" 1 (List.length homs)
-
-let test_hom_forward_check () =
-  (* s(y) has no image at all: the search must fail, not enumerate r's *)
-  Alcotest.(check bool) "no homomorphism" false
-    (Hom.holds
-       ~rigid:[ fact "r" [ "a"; "b" ] ]
-       [ a "r" [ v "x"; v "y" ]; a "s" [ v "y" ] ])
-
-let test_hom_init_pins () =
-  let init = Atom.Subst.of_list [ ("x", Atom.str "z") ] in
-  Alcotest.(check bool) "pre-binding blocks" false
-    (Hom.holds ~init ~rigid:[ fact "r" [ "a"; "b" ] ] [ a "r" [ v "x"; v "y" ] ]);
-  Alcotest.(check bool) "pre-binding satisfiable" true
-    (Hom.holds ~init
-       ~rigid:[ fact "r" [ "a"; "b" ]; fact "r" [ "z"; "b" ] ]
-       [ a "r" [ v "x"; v "y" ] ])
-
-let test_hom_shared_var_join () =
-  (* r(x,y), r(y,z): y must take the same value in both atoms *)
-  Alcotest.(check bool) "join respected" true
-    (Hom.holds
-       ~rigid:[ fact "r" [ "a"; "b" ]; fact "r" [ "b"; "c" ] ]
-       [ a "r" [ v "x"; v "y" ]; a "r" [ v "y"; v "z" ] ]);
-  Alcotest.(check bool) "broken join rejected" false
-    (Hom.holds
-       ~rigid:[ fact "r" [ "a"; "b" ]; fact "r" [ "c"; "d" ] ]
-       [ a "r" [ v "x"; v "y" ]; a "r" [ v "y"; v "z" ] ])
-
 (* ---- containment / equivalence / minimization ----- *)
 
 (* q1(x) :- r(x,y), r(y,z)   q2(x) :- r(x,y)   q1 ⊆ q2 *)
 let q_path = q ~head:[ v "x" ] [ a "r" [ v "x"; v "y" ]; a "r" [ v "y"; v "z" ] ]
 let q_edge = q ~head:[ v "x" ] [ a "r" [ v "x"; v "y" ] ]
 
+(* No single atom can be dropped: no head-fixing fold of the query into
+   its body minus one atom. Checked directly, not through [minimize]. *)
+let is_minimal (qq : Query.t) =
+  List.for_all
+    (fun i ->
+      let body' = List.filteri (fun j _ -> j <> i) qq.Query.body in
+      Option.is_none
+        (Query.homomorphism ~from_:qq ~to_:{ qq with Query.body = body' }))
+    (List.init (List.length qq.Query.body) Fun.id)
+
 let test_containment_basic () =
-  Alcotest.(check bool) "path ⊆ edge" true (Contain.contained_in q_path q_edge);
-  Alcotest.(check bool) "edge ⊄ path" false (Contain.contained_in q_edge q_path)
+  Alcotest.(check bool) "path ⊆ edge" true (Query.contained_in q_path q_edge);
+  Alcotest.(check bool) "edge ⊄ path" false (Query.contained_in q_edge q_path)
 
 let test_containment_heads () =
   let qa = q ~head:[ v "x"; v "y" ] [ a "r" [ v "x"; v "y" ] ] in
   let qb = q ~head:[ v "y"; v "x" ] [ a "r" [ v "x"; v "y" ] ] in
-  Alcotest.(check bool) "swapped heads differ" false (Contain.contained_in qa qb)
+  Alcotest.(check bool) "swapped heads differ" false (Query.contained_in qa qb)
 
 let test_containment_constants () =
   let qc = q ~head:[ v "x" ] [ a "r" [ v "x"; Atom.str "fixed" ] ] in
   Alcotest.(check bool) "constant query ⊆ general" true
-    (Contain.contained_in qc q_edge);
+    (Query.contained_in qc q_edge);
   Alcotest.(check bool) "general ⊄ constant" false
-    (Contain.contained_in q_edge qc)
+    (Query.contained_in q_edge qc)
 
 let test_equivalence_alpha () =
   let qa = q ~head:[ v "x" ] [ a "r" [ v "x"; v "y" ] ] in
   let qb = q ~head:[ v "u" ] [ a "r" [ v "u"; v "w" ] ] in
-  Alcotest.(check bool) "alpha-equivalent" true (Contain.equivalent qa qb);
-  Alcotest.(check bool) "inequivalent" false (Contain.equivalent qa q_path)
+  Alcotest.(check bool) "alpha-equivalent" true (Query.equivalent qa qb);
+  Alcotest.(check bool) "inequivalent" false (Query.equivalent qa q_path)
 
 let test_minimize_folds () =
   let qq =
     q ~head:[ v "x" ] [ a "r" [ v "x"; v "y" ]; a "r" [ v "x"; v "z" ] ]
   in
-  let m = Contain.minimize qq in
+  let m = Query.minimize qq in
   Alcotest.(check int) "one atom after minimization" 1 (List.length m.Query.body);
-  Alcotest.(check bool) "still equivalent" true (Contain.equivalent m qq);
-  Alcotest.(check bool) "result minimal" true (Contain.is_minimal m)
+  Alcotest.(check bool) "still equivalent" true (Query.equivalent m qq);
+  Alcotest.(check bool) "result minimal" true (is_minimal m);
+  Alcotest.(check bool) "input not minimal" false (is_minimal qq)
 
 let test_minimize_keeps_core () =
-  let m = Contain.minimize q_path in
+  let m = Query.minimize q_path in
   Alcotest.(check int) "path query is its own core" 2 (List.length m.Query.body);
-  Alcotest.(check bool) "already minimal" true (Contain.is_minimal q_path)
+  Alcotest.(check bool) "already minimal" true (is_minimal q_path)
 
 (* ---- mapping implication, dedup ----- *)
 
@@ -313,78 +266,15 @@ let test_core_of_chase () =
 
 (* ---- qcheck properties ----- *)
 
-(* random safe CQs over r/2, s/2: args drawn from a small variable pool
-   (plus an occasional constant), head = up to two body variables *)
-let gen_query =
-  QCheck.Gen.(
-    let var = map (Printf.sprintf "x%d") (int_range 0 3) in
-    let term =
-      frequency [ (5, map Atom.v var); (1, map Atom.str (oneofl [ "c"; "d" ])) ]
-    in
-    let atom =
-      let* p = oneofl [ "r"; "s" ] in
-      let* t1 = map Atom.v var in
-      let* t2 = term in
-      return (a p [ t1; t2 ])
-    in
-    let* body = list_size (int_range 1 4) atom in
-    let bv = Atom.vars_of_list body in
-    let* n_head = int_range 1 (min 2 (List.length bv)) in
-    let head = List.filteri (fun i _ -> i < n_head) bv |> List.map Atom.v in
-    return (q ~head body))
-
-let gen_extension body =
-  QCheck.Gen.(
-    let var =
-      oneofl
-        (match Atom.vars_of_list body with [] -> [ "x0" ] | vs -> vs)
-    in
-    let atom =
-      let* p = oneofl [ "r"; "s" ] in
-      let* t1 = map Atom.v var in
-      let* t2 = map Atom.v var in
-      return (a p [ t1; t2 ])
-    in
-    list_size (int_range 0 2) atom)
-
-let arb_query = QCheck.make gen_query ~print:(Fmt.str "%a" Query.pp)
-
-let arb_query_chain =
-  (* q3 ⊆ q2 ⊆ q1 by construction: each extends the previous body *)
-  let gen =
-    QCheck.Gen.(
-      let* q1 = gen_query in
-      let* e1 = gen_extension q1.Query.body in
-      let q2 = { q1 with Query.body = q1.Query.body @ e1 } in
-      let* e2 = gen_extension q2.Query.body in
-      let q3 = { q2 with Query.body = q2.Query.body @ e2 } in
-      return (q1, q2, q3))
-  in
-  QCheck.make gen ~print:(fun (q1, q2, q3) ->
-      Fmt.str "%a@.%a@.%a" Query.pp q1 Query.pp q2 Query.pp q3)
-
 let prop_containment_reflexive =
-  QCheck.Test.make ~name:"containment is reflexive" ~count:100 arb_query
-    (fun qq -> Contain.contained_in qq qq)
-
-let prop_containment_transitive =
-  QCheck.Test.make ~name:"containment is transitive along extension chains"
-    ~count:100 arb_query_chain (fun (q1, q2, q3) ->
-      (* the chain is contained by construction; transitivity closes it *)
-      Contain.contained_in q3 q2
-      && Contain.contained_in q2 q1
-      && Contain.contained_in q3 q1)
-
-let prop_equivalence_symmetric =
-  QCheck.Test.make ~name:"equivalence is symmetric" ~count:60
-    (QCheck.pair arb_query arb_query) (fun (qa, qb) ->
-      Contain.equivalent qa qb = Contain.equivalent qb qa)
+  QCheck.Test.make ~name:"containment is reflexive" ~count:100
+    Test_cq.arb_query (fun qq -> Query.contained_in qq qq)
 
 let prop_minimize_equivalent =
   QCheck.Test.make ~name:"minimize q is equivalent to q and minimal"
-    ~count:60 arb_query (fun qq ->
-      let m = Contain.minimize qq in
-      Contain.equivalent m qq && Contain.is_minimal m)
+    ~count:60 Test_cq.arb_query (fun qq ->
+      let m = Query.minimize qq in
+      Query.equivalent m qq && is_minimal m)
 
 (* random instances over r/2 with a small pool of constants and nulls *)
 let gen_instance =
@@ -422,15 +312,6 @@ let suite =
   let t name f = Alcotest.test_case name `Quick f in
   let p = QCheck_alcotest.to_alcotest in
   [
-    ( "verify-hom",
-      [
-        t "find binds" test_hom_find;
-        t "all counts" test_hom_all_count;
-        t "limit" test_hom_limit;
-        t "forward check" test_hom_forward_check;
-        t "init pins" test_hom_init_pins;
-        t "shared-variable join" test_hom_shared_var_join;
-      ] );
     ( "verify-contain",
       [
         t "basic containment" test_containment_basic;
@@ -458,8 +339,6 @@ let suite =
     ( "verify-props",
       [
         p prop_containment_reflexive;
-        p prop_containment_transitive;
-        p prop_equivalence_symmetric;
         p prop_minimize_equivalent;
         p prop_core_idempotent;
         p prop_core_shrinks;
