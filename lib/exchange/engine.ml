@@ -307,14 +307,16 @@ let intern_plan (plan : Plan.t) =
 (* ---- probing ------------------------------------------------------------ *)
 
 (* Candidate rows whose [cols] cells equal [codes], passed to [f] in
-   bucket (or arena) order. Index buckets are hash buckets — they may
-   contain rows with different cell values and rows tombstoned since
-   the last rebuild — so every candidate is re-verified here by int
-   compare before reaching [f]. [tick] runs per candidate considered
-   (budget accounting: one tick per bucket
-   tuple). [cache = false] guarantees the probe never mutates the
-   store: required by the parallel scan phase, where worker domains
-   probe concurrently and only pre-built indexes may be used. *)
+   bucket (or arena) order; [f] returns [true] to stop the walk. The
+   walk follows the index's bucket chain in place (no candidate list is
+   built). A bucket may hold rows with other cell values, and rows
+   tombstoned since the last relink, so every candidate is re-verified
+   here by int compare before reaching [f]. [tick] runs per candidate
+   considered (budget accounting: one tick per bucket tuple). Returns
+   whether any candidate matched. [cache = false] guarantees the probe
+   never mutates the store: required by the parallel scan phase, where
+   worker domains probe concurrently and only pre-built indexes may be
+   used. *)
 let probe_iter ?(cache = true) st (cols : int array) (codes : int array) ~tick
     ~f =
   let cs = st.s_cs in
@@ -323,32 +325,40 @@ let probe_iter ?(cache = true) st (cols : int array) (codes : int array) ~tick
   let check_dead = Colstore.dead cs > 0 in
   let ncols = Array.length cols in
   let hit = ref false in
+  (* true when [f] stops the walk *)
   let consider row =
     tick ();
-    if (not check_dead) || Colstore.is_live cs row then begin
-      let base = row * ar in
-      let ok = ref true in
-      for i = 0 to ncols - 1 do
-        if
-          Array.unsafe_get data (base + Array.unsafe_get cols i)
-          <> Array.unsafe_get codes i
-        then ok := false
-      done;
-      if !ok then begin
-        hit := true;
-        f row
-      end
-    end
+    ((not check_dead) || Colstore.is_live cs row)
+    &&
+    let base = row * ar in
+    let i = ref 0 in
+    while
+      !i < ncols
+      && Array.unsafe_get data (base + Array.unsafe_get cols !i)
+         = Array.unsafe_get codes !i
+    do
+      incr i
+    done;
+    !i = ncols
+    &&
+    (hit := true;
+     f row)
   in
+  let rec walk ix row =
+    if row >= 0 && not (consider row) then walk ix (Colstore.next ix row)
+  in
+  let probe ix = walk ix (Colstore.first ix codes) in
   (match Colstore.find_index cs cols with
-  | Some ix -> List.iter consider (Colstore.probe ix codes)
+  | Some ix -> probe ix
   | None ->
-      if (not cache) || Colstore.count cs < index_threshold then
-        for row = 0 to Colstore.rows cs - 1 do
-          consider row
-        done
-      else
-        List.iter consider (Colstore.probe (Colstore.ensure_index cs cols) codes));
+      if (not cache) || Colstore.count cs < index_threshold then begin
+        let n = Colstore.rows cs in
+        let rec scan row =
+          if row < n && not (consider row) then scan (row + 1)
+        in
+        scan 0
+      end
+      else probe (Colstore.ensure_index cs cols));
   !hit
 
 (* ---- satisfaction check ------------------------------------------------- *)
@@ -464,7 +474,9 @@ let satisfied ?(cache = true) e (ip : iplan) (env : int array)
       let hit =
         probe_iter ~cache st ck.ic_probe codes
           ~tick:(fun () -> ())
-          ~f:(fun row -> if (not !found) && try_row row then found := true)
+          ~f:(fun row ->
+            found := try_row row;
+            !found)
       in
       if hit then stats.Obs.st_hits <- stats.Obs.st_hits + 1
       else stats.Obs.st_misses <- stats.Obs.st_misses + 1;
@@ -632,7 +644,8 @@ let enumerate_int ~src ?budget ?(cache = true) (ip : iplan)
                 if selfeqs_ok base then begin
                   bind base;
                   step (i + 1)
-                end)
+                end;
+                false)
           in
           if hit then stats.Obs.st_hits <- stats.Obs.st_hits + 1
           else stats.Obs.st_misses <- stats.Obs.st_misses + 1
@@ -750,27 +763,80 @@ let eval_plan_parallel pool ?budget e (ip : iplan) (stats : Obs.tstats) =
 
 (* ---- key-egd pass ------------------------------------------------------- *)
 
+(* The key egds' substitution, null code -> code: open addressing with
+   linear probing over flat int arrays. Keys are null codes, all
+   negative, so [0] marks an empty slot. No key ever maps to itself. *)
+module Subst = struct
+  type t = {
+    mutable keys : int array;
+    mutable vals : int array;
+    mutable size : int;
+  }
+
+  let create () = { keys = Array.make 16 0; vals = Array.make 16 0; size = 0 }
+
+  (* the slot holding [k], or the empty slot where it belongs *)
+  let slot t k =
+    let mask = Array.length t.keys - 1 in
+    let i = ref (Colstore.spread k land mask) in
+    while
+      let x = Array.unsafe_get t.keys !i in
+      x <> 0 && x <> k
+    do
+      i := (!i + 1) land mask
+    done;
+    !i
+
+  (* [k]'s binding, or [k] itself when unbound *)
+  let find t k =
+    if t.size = 0 then k
+    else
+      let i = slot t k in
+      if Array.unsafe_get t.keys i = 0 then k else Array.unsafe_get t.vals i
+
+  let rec replace t k v =
+    let i = slot t k in
+    if t.keys.(i) <> 0 then t.vals.(i) <- v
+    else if (t.size + 1) * 2 > Array.length t.keys then begin
+      let keys = t.keys and vals = t.vals in
+      t.keys <- Array.make (2 * Array.length keys) 0;
+      t.vals <- Array.make (2 * Array.length keys) 0;
+      t.size <- 0;
+      Array.iteri (fun j x -> if x <> 0 then replace t x vals.(j)) keys;
+      replace t k v
+    end
+    else begin
+      t.keys.(i) <- k;
+      t.vals.(i) <- v;
+      t.size <- t.size + 1
+    end
+end
+
 type egd_result =
   | EgdConflict of string
-  | EgdSubst of (int, int) Hashtbl.t * int  (* null code -> code, merges *)
+  | EgdSubst of Subst.t * int  (* null code -> code, merges *)
 
 (* Group every keyed target table by its (resolved) key cells and unify
    the non-key columns of each group — union-find over null codes with
    path compression; a constant/constant clash is a hard failure, as in
-   the chase. Group keys are exact [int list]s (never raw hashes), so a
-   hash collision can never conflate two groups. Cascades are caught by
-   the next round's pass. *)
+   the chase. Live rows are visited in arena order. Each table's groups
+   live in one open-addressing table over the key cells whose slots
+   hold group ids; a group's representative is the first member's
+   resolved tuple, frozen into one flat arena of [arity] cells per
+   group. Keys are compared cell by cell (never by hash), so a hash
+   collision can never conflate two groups. Nothing is allocated per
+   row. Cascades are caught by the next round's pass. *)
 let egd_pass e =
-  let subst : (int, int) Hashtbl.t = Hashtbl.create 16 in
+  let subst = Subst.create () in
   let rec resolve c =
     if c >= 0 then c
     else
-      match Hashtbl.find_opt subst c with
-      | Some c' ->
-          let r = resolve c' in
-          if r <> c' then Hashtbl.replace subst c r;
-          r
-      | None -> c
+      let c' = Subst.find subst c in
+      if c' = c then c
+      else
+        let r = resolve c' in
+        if r <> c' then Subst.replace subst c r;
+        r
   in
   let merges = ref 0 in
   let conflict = ref None in
@@ -778,11 +844,11 @@ let egd_pass e =
     let ru = resolve u and rv = resolve v in
     if ru <> rv then
       if Intern.is_null_code ru then begin
-        Hashtbl.replace subst ru rv;
+        Subst.replace subst ru rv;
         incr merges
       end
       else if Intern.is_null_code rv then begin
-        Hashtbl.replace subst rv ru;
+        Subst.replace subst rv ru;
         incr merges
       end
       else if !conflict = None then
@@ -803,33 +869,65 @@ let egd_pass e =
             let ar = Colstore.arity cs in
             let header = Array.of_list st.s_header in
             let keypos =
-              List.map
-                (fun k ->
-                  let rec find i = if header.(i) = k then i else find (i + 1) in
-                  find 0)
-                tbl.Schema.key
+              Array.of_list
+                (List.map
+                   (fun k ->
+                     let rec find i =
+                       if header.(i) = k then i else find (i + 1)
+                     in
+                     find 0)
+                   tbl.Schema.key)
             in
+            let nkey = Array.length keypos in
             let is_key =
               Array.map (fun c -> List.mem c tbl.Schema.key) header
             in
-            let reps : (int list, int array) Hashtbl.t =
-              Hashtbl.create (Colstore.count cs + 1)
+            let n = Colstore.count cs in
+            let nslots = ref 16 in
+            while !nslots < 2 * n do
+              nslots := 2 * !nslots
+            done;
+            let mask = !nslots - 1 in
+            let slots = Array.make !nslots (-1) in
+            let reps = Array.make (max 1 (n * ar)) 0 in
+            let ngroups = ref 0 in
+            let rtup = Array.make ar 0 and kcells = Array.make nkey 0 in
+            let same_key g =
+              let gb = g * ar in
+              let j = ref 0 in
+              while !j < nkey && reps.(gb + keypos.(!j)) = kcells.(!j) do
+                incr j
+              done;
+              !j = nkey
             in
             Colstore.iter_live cs (fun row ->
                 if !conflict = None then begin
                   let base = row * ar in
-                  let rtup =
-                    Array.init ar (fun i -> resolve data.(base + i))
+                  for i = 0 to ar - 1 do
+                    rtup.(i) <- resolve data.(base + i)
+                  done;
+                  for j = 0 to nkey - 1 do
+                    kcells.(j) <- rtup.(keypos.(j))
+                  done;
+                  let s =
+                    ref (Colstore.spread (Colstore.hash_cells kcells) land mask)
                   in
-                  let k = List.map (fun p -> rtup.(p)) keypos in
-                  match Hashtbl.find_opt reps k with
-                  | None -> Hashtbl.replace reps k rtup
-                  | Some rep ->
-                      Array.iteri
-                        (fun i v ->
-                          if (not is_key.(i)) && !conflict = None then
-                            unify tbl.Schema.tbl_name header.(i) rep.(i) v)
-                        rtup
+                  while slots.(!s) >= 0 && not (same_key slots.(!s)) do
+                    s := (!s + 1) land mask
+                  done;
+                  let g = slots.(!s) in
+                  if g < 0 then begin
+                    slots.(!s) <- !ngroups;
+                    Array.blit rtup 0 reps (!ngroups * ar) ar;
+                    incr ngroups
+                  end
+                  else
+                    let gb = g * ar in
+                    for i = 0 to ar - 1 do
+                      if (not is_key.(i)) && !conflict = None then
+                        unify tbl.Schema.tbl_name header.(i) reps.(gb + i)
+                          rtup.(i)
+                    done
                 end))
     e.e_target_schema.Schema.tables;
   match !conflict with
@@ -846,7 +944,8 @@ let apply_subst e subst =
   let rec resolve c =
     if c >= 0 then c
     else
-      match Hashtbl.find_opt subst c with Some c' -> resolve c' | None -> c
+      let c' = Subst.find subst c in
+      if c' = c then c else resolve c'
   in
   let rewrite _name st =
     let cs = st.s_cs in

@@ -109,14 +109,16 @@ let json_escape s =
   Buffer.contents b
 
 let write_bench_json ~path rows =
+  let cores = Domain.recommended_domain_count () in
   let oc = open_out path in
   output_string oc "[\n";
   List.iteri
     (fun i r ->
       Printf.fprintf oc
-        "  {\"name\": \"%s\", \"size\": %d, \"ns_per_run\": %.1f, \
-         \"tuples_per_s\": %.1f}%s\n"
-        (json_escape r.br_name) r.br_size r.br_ns_per_run r.br_tuples_per_s
+        "  {\"name\": \"%s\", \"size\": %d, \"cores\": %d, \
+         \"ns_per_run\": %.1f, \"tuples_per_s\": %.1f}%s\n"
+        (json_escape r.br_name) r.br_size cores r.br_ns_per_run
+        r.br_tuples_per_s
         (if i = List.length rows - 1 then "" else ","))
     rows;
   output_string oc "]\n";

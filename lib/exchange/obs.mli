@@ -64,4 +64,5 @@ type bench_row = {
 
 val write_bench_json : path:string -> bench_row list -> unit
 (** Write rows as a JSON array of objects with fields [name], [size],
-    [ns_per_run], [tuples_per_s]. *)
+    [cores] (the host's recommended domain count), [ns_per_run],
+    [tuples_per_s]. *)

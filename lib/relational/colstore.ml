@@ -11,9 +11,11 @@
 
    Membership tables are open-addressing with linear probing; slots hold
    [row + 1], [0] for empty, [-1] for a tombstone. Column-subset indexes
-   are hash buckets: bucket key is the hash of the probed cells, so a
-   bucket may mix distinct keys — callers must re-verify equality
-   positions on each candidate (they need the liveness check anyway). *)
+   are chained hash buckets over flat int arrays: a bucket-head array
+   (the newest row of each bucket, [-1] for none) plus a per-row [next]
+   link to the next older row of the same bucket. A bucket mixes every
+   key that lands in it, so callers must re-verify equality positions
+   on each candidate (they need the liveness check anyway). *)
 
 type shard = {
   mutable sh_slots : int array;
@@ -24,7 +26,9 @@ type shard = {
 
 type index = {
   x_cols : int array;
-  x_tbl : (int, int list ref) Hashtbl.t; (* cell hash -> rows, newest first *)
+  mutable x_head : int array; (* bucket -> newest linked row, or -1 *)
+  mutable x_next : int array; (* row -> next older row in its bucket, or -1 *)
+  mutable x_linked : int; (* rows linked since the last relink, dead or not *)
 }
 
 type t = {
@@ -71,6 +75,13 @@ let hash_row_cols t row (cols : int array) =
       * fnv_prime
   done;
   !h land max_int
+
+(* The FNV product's low bits depend only on the low bits of the cells,
+   and interned codes are dense small ints: fold the high bits down
+   before a hash is masked to a power-of-two table. *)
+let spread h =
+  let h = (h lxor (h lsr 29)) * 0x2545F4914F6CDD1D in
+  h lxor (h lsr 32)
 
 let next_pow2 n =
   let c = ref 16 in
@@ -131,7 +142,34 @@ let grow t =
   let nl = Bytes.make ncap '\001' in
   Bytes.blit t.cs_live 0 nl 0 t.cs_rows;
   t.cs_live <- nl;
-  t.cs_cap <- ncap
+  t.cs_cap <- ncap;
+  List.iter
+    (fun ix ->
+      let nn = Array.make ncap (-1) in
+      Array.blit ix.x_next 0 nn 0 t.cs_rows;
+      ix.x_next <- nn)
+    t.cs_indexes
+
+(* ---- column-subset indexes: linking ------------------------------------- *)
+
+let link t ix row =
+  let b =
+    spread (hash_row_cols t row ix.x_cols) land (Array.length ix.x_head - 1)
+  in
+  Array.unsafe_set ix.x_next row (Array.unsafe_get ix.x_head b);
+  Array.unsafe_set ix.x_head b row;
+  ix.x_linked <- ix.x_linked + 1
+
+(* Empty [ix]'s buckets and link the live rows in arena order, so each
+   chain runs newest first. Heads at most half loaded by live rows. *)
+let relink t ix nbuckets =
+  ix.x_head <- Array.make nbuckets (-1);
+  ix.x_linked <- 0;
+  for row = 0 to t.cs_rows - 1 do
+    if Bytes.unsafe_get t.cs_live row <> '\000' then link t ix row
+  done
+
+let buckets_for live = next_pow2 (max 16 (2 * live))
 
 let append_row t cells =
   if t.cs_rows >= t.cs_cap then grow t;
@@ -142,10 +180,13 @@ let append_row t cells =
   t.cs_count <- t.cs_count + 1;
   List.iter
     (fun ix ->
-      let h = hash_row_cols t row ix.x_cols in
-      match Hashtbl.find_opt ix.x_tbl h with
-      | Some l -> l := row :: !l
-      | None -> Hashtbl.replace ix.x_tbl h (ref [ row ]))
+      link t ix row;
+      (* past half load: relink the live rows (dropping tombstones)
+         into a table that holds at least twice the live count *)
+      let nb = Array.length ix.x_head in
+      if ix.x_linked * 2 > nb then
+        relink t ix
+          (if t.cs_count * 4 > nb then buckets_for (2 * t.cs_count) else nb))
     t.cs_indexes;
   row
 
@@ -323,13 +364,18 @@ let fold_live t f acc =
 
 (* ---- column-subset indexes ---------------------------------------------- *)
 
+(* sized from the live count, not from the rows linked so far (0 at
+   this point): a bulk-loaded store must not start at 16 buckets *)
 let build_index t cols =
-  let ix = { x_cols = cols; x_tbl = Hashtbl.create (max 64 t.cs_count) } in
-  iter_live t (fun row ->
-      let h = hash_row_cols t row ix.x_cols in
-      match Hashtbl.find_opt ix.x_tbl h with
-      | Some l -> l := row :: !l
-      | None -> Hashtbl.replace ix.x_tbl h (ref [ row ]));
+  let ix =
+    {
+      x_cols = cols;
+      x_head = [||];
+      x_next = Array.make t.cs_cap (-1);
+      x_linked = 0;
+    }
+  in
+  relink t ix (buckets_for t.cs_count);
   ix
 
 let same_cols a b =
@@ -349,16 +395,17 @@ let ensure_index t cols =
       t.cs_indexes <- ix :: t.cs_indexes;
       ix
 
-let probe ix (cells : int array) =
-  match Hashtbl.find_opt ix.x_tbl (hash_cells cells) with
-  | Some l -> !l
-  | None -> []
+let first ix (cells : int array) =
+  Array.unsafe_get ix.x_head
+    (spread (hash_cells cells) land (Array.length ix.x_head - 1))
+
+let next ix row = Array.unsafe_get ix.x_next row
 
 let has_indexes t = t.cs_indexes <> []
 let index_rot t = t.cs_ix_dead
 
 let prune_indexes t =
-  t.cs_indexes <- List.map (fun ix -> build_index t ix.x_cols) t.cs_indexes;
+  List.iter (fun ix -> relink t ix (buckets_for t.cs_count)) t.cs_indexes;
   t.cs_ix_dead <- 0
 
 (* amortized: rebuild index buckets once tombstones make up half of

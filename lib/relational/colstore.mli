@@ -7,10 +7,13 @@
     column-subset hash indexes. Iteration order is the arena order and
     is independent of the shard count.
 
-    Index buckets are keyed by the {e hash} of the probed cells, so a
-    bucket may contain rows whose probed cells differ from the query:
-    callers must re-verify equality positions (and liveness, when
-    {!dead} is non-zero) on every candidate. *)
+    A column index is a chained hash table over flat int arrays: a
+    power-of-two bucket-head array, at most half loaded by the live
+    rows, and a per-row link to the next older row of the same bucket.
+    A bucket holds every row whose probed cells hash into it, so a walk
+    may visit rows whose probed cells differ from the query: callers
+    must re-verify equality positions (and liveness, when {!dead} is
+    non-zero) on every candidate. *)
 
 type t
 
@@ -35,6 +38,11 @@ val of_flat : shards:int -> arity:int -> rows:int -> int array -> t
 val hash_cells : int array -> int
 (** The non-negative FNV-style hash membership and indexes use for a
     tuple of interned cells. *)
+
+val spread : int -> int
+(** Fold a hash's high bits into its low bits. Apply it before masking
+    a hash of interned codes to a power-of-two table: the FNV product's
+    low bits depend only on the cells' low bits. *)
 
 val arity : t -> int
 val nshards : t -> int
@@ -72,20 +80,32 @@ val find_row : t -> int array -> int option
 
 val remove : t -> int array -> int option
 (** Tombstone the tuple in place; returns its row id when found. Index
-    buckets keep the row until {!prune_indexes} — probes must filter. *)
+    buckets keep the row until the next relink ({!prune_indexes}, or an
+    insert that grows the index) — probes must filter. *)
 
 val iter_live : t -> (int -> unit) -> unit
 val fold_live : t -> ('a -> int -> 'a) -> 'a -> 'a
 
 val ensure_index : t -> int array -> index
 (** Index on a column subset (positions in probe order), built over live
-    rows and maintained by {!insert}. *)
+    rows with its bucket-head array sized from {!count}, and maintained
+    by {!insert}: a new row links in place at its bucket's head, and
+    past half load the live rows relink in arena order into a larger
+    head array. *)
 
 val find_index : t -> int array -> index option
 
-val probe : index -> int array -> int list
-(** Candidate rows whose indexed cells {e hash} like the query cells,
-    newest first. Superset of the exact matches — re-verify. *)
+val first : index -> int array -> int
+(** [first ix cells] starts an in-place walk over the candidates for the
+    query [cells] (the index's columns, in probe order): the newest row
+    of the bucket they hash into, or [-1]. Continue with {!next}. The
+    walk visits a superset of the exact matches, newest first, plus
+    rows tombstoned since the last relink: re-verify every candidate.
+    Do not mutate the store during a walk. *)
+
+val next : index -> int -> int
+(** [next ix row] is the next older candidate after [row] in its
+    bucket, or [-1] at the end of the walk. *)
 
 val has_indexes : t -> bool
 val index_rot : t -> int

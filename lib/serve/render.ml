@@ -186,8 +186,11 @@ let exchange_json ~head ?exhausted ?(diags = []) ~laconic
   (* canonical null labels: numbered by first occurrence over
      name-sorted tables, tuples in relation order, cells left to right —
      independent of the process-global label counter. That is the order
-     the target is written in, so labels are assigned as it is written. *)
-  let labels = Labels.create 64 in
+     the target is written in, so labels are assigned as it is written.
+     Sized from the tuple count so a null-heavy target (about one null
+     per tuple) never resizes the table. *)
+  let total = Instance.total_tuples inst in
+  let labels = Labels.create (max 64 total) in
   let canon k =
     match Labels.find_opt labels k with
     | Some c -> c
@@ -196,7 +199,6 @@ let exchange_json ~head ?exhausted ?(diags = []) ~laconic
         Labels.add labels k c;
         c
   in
-  let total = Instance.total_tuples inst in
   let b = Buffer.create (4096 + (32 * total)) in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   Buffer.add_string b "{";

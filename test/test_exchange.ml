@@ -291,6 +291,77 @@ let test_skolem_merge () =
             (Instance.equal rep.Engine.r_target i)
       | _ -> Alcotest.fail "chase should saturate")
 
+(* A key egd over a composite (a, b) key whose groups only collide after
+   a substitution. m1 writes s(x, y, n) and s(n, y, m) for fresh n, m;
+   m2's ground s(x, y, z) shares the first row's key, so round 1 binds
+   n := z. The second row was grouped under key (n, y) before that
+   binding, so it only meets m3's s(z, y, w) in round 2, which binds
+   m := w. Round 3 merges nothing. *)
+let test_engine_egd_composite_key () =
+  let col c = (c, Schema.TString) in
+  let source =
+    Schema.make ~name:"ck-src"
+      [
+        Schema.table "p" [ col "x"; col "y" ];
+        Schema.table "q" [ col "x"; col "y"; col "z" ];
+        Schema.table "r" [ col "z"; col "y"; col "w" ];
+      ]
+      []
+  in
+  let target =
+    Schema.make ~name:"ck-tgt"
+      [ Schema.table ~key:[ "a"; "b" ] "s" [ col "a"; col "b"; col "c" ] ]
+      []
+  in
+  let tgds =
+    [
+      Dependency.tgd ~name:"m1"
+        ~lhs:[ a "p" [ v "x"; v "y" ] ]
+        [ a "s" [ v "x"; v "y"; v "n" ]; a "s" [ v "n"; v "y"; v "m" ] ];
+      Dependency.tgd ~name:"m2"
+        ~lhs:[ a "q" [ v "x"; v "y"; v "z" ] ]
+        [ a "s" [ v "x"; v "y"; v "z" ] ];
+      Dependency.tgd ~name:"m3"
+        ~lhs:[ a "r" [ v "z"; v "y"; v "w" ] ]
+        [ a "s" [ v "z"; v "y"; v "w" ] ];
+    ]
+  in
+  let inst =
+    List.fold_left
+      (fun acc i ->
+        let c fmt = vs (Printf.sprintf fmt i) in
+        acc
+        |> (fun acc ->
+             Instance.add_tuple acc "p" ~header:[ "x"; "y" ] [| c "x%d"; c "y%d" |])
+        |> (fun acc ->
+             Instance.add_tuple acc "q" ~header:[ "x"; "y"; "z" ]
+               [| c "x%d"; c "y%d"; c "z%d" |])
+        |> fun acc ->
+        Instance.add_tuple acc "r" ~header:[ "z"; "y"; "w" ]
+          [| c "z%d"; c "y%d"; c "w%d" |])
+      Instance.empty [ 1; 2; 3 ]
+  in
+  let chased =
+    match Chase.exchange ~source ~target ~mappings:tgds inst with
+    | Chase.Saturated i -> i
+    | _ -> Alcotest.fail "chase should saturate"
+  in
+  List.iter
+    (fun shards ->
+      match Engine.run ~shards ~source ~target ~mappings:tgds inst with
+      | Error m -> Alcotest.fail m
+      | Ok rep ->
+          Alcotest.(check int) "two merges per p row" 6 rep.Engine.r_egd_merges;
+          Alcotest.(check int) "round 2 merges, round 3 confirms" 3
+            rep.Engine.r_rounds;
+          Alcotest.(check int) "two ground s rows per p row" 6
+            (Instance.cardinality rep.Engine.r_target "s");
+          Alcotest.(check bool)
+            (Printf.sprintf "≡hom the chase at %d shard(s)" shards)
+            true
+            (hom_equiv chased rep.Engine.r_target))
+    [ 1; 3 ]
+
 (* ---- laconic fixtures --------------------------------------------------- *)
 
 let test_laconic_prepare_dedups () =
@@ -700,6 +771,8 @@ let suite =
         Alcotest.test_case "simple run" `Quick test_engine_simple;
         Alcotest.test_case "key conflict" `Quick test_engine_key_conflict;
         Alcotest.test_case "egd merges null" `Quick test_engine_egd_merges_null;
+        Alcotest.test_case "egd on a composite key" `Quick
+          test_engine_egd_composite_key;
         Alcotest.test_case "stats" `Quick test_engine_stats;
         Alcotest.test_case "skolem merge" `Quick test_skolem_merge;
         Alcotest.test_case "outer variants" `Quick test_outer_variants;

@@ -142,6 +142,154 @@ let test_colstore_of_flat () =
   Alcotest.(check bool) "absent row" false
     (Colstore.mem cs [| Intern.code (vs "nope"); Intern.code (Value.VInt 99) |])
 
+(* ---- column indexes ------------------------------------------------------ *)
+
+(* The live rows a probe walk visits whose cells equal the key, in walk
+   order, and the number of candidates it visited. *)
+let walk_matches cs ix cols key =
+  let visited = ref 0 and hits = ref [] in
+  let row = ref (Colstore.first ix key) in
+  while !row >= 0 do
+    incr visited;
+    if
+      Colstore.is_live cs !row
+      && Array.for_all2 (fun c k -> Colstore.get cs !row c = k) cols key
+    then hits := !row :: !hits;
+    row := Colstore.next ix !row
+  done;
+  (List.rev !hits, !visited)
+
+(* the same rows by brute force: live, equal cells, newest first *)
+let brute_matches cs cols key =
+  Colstore.fold_live cs
+    (fun acc row ->
+      if Array.for_all2 (fun c k -> Colstore.get cs row c = k) cols key then
+        row :: acc
+      else acc)
+    []
+
+type ix_op = Insert of int * int * int | Remove of int | Maybe_prune | Prune
+
+(* where the index is built: on an empty tracked store, after the
+   [n]th op, or over an [of_flat] bulk load of [n] rows (untracked, so
+   no further mutation) *)
+type ix_start = On_empty | Mid_way of int | On_flat of int
+
+let ix_cols = [| 2; 0 |]
+
+let gen_ix_case =
+  QCheck.Gen.(
+    let op =
+      frequency
+        [
+          ( 6,
+            map3
+              (fun k x j -> Insert (k, x, j))
+              (int_bound 11) (int_bound 1_000) (int_bound 3) );
+          (3, map (fun i -> Remove i) (int_bound 10_000));
+          (1, return Maybe_prune);
+          (1, return Prune);
+        ]
+    in
+    let* ops = list_size (int_range 50 400) op in
+    let* start =
+      oneof
+        [
+          return On_empty;
+          map (fun n -> Mid_way n) (int_bound (List.length ops));
+          map (fun n -> On_flat n) (int_range 1 600);
+        ]
+    in
+    return (start, ops))
+
+let print_ix_case (start, ops) =
+  Printf.sprintf "%s, %d ops"
+    (match start with
+    | On_empty -> "index on empty store"
+    | Mid_way n -> Printf.sprintf "index after op %d" n
+    | On_flat n -> Printf.sprintf "index on %d-row of_flat" n)
+    (List.length ops)
+
+let ix_row (k, x, j) = [| k; x; j |]
+
+(* probe every key of the (small) key domain and compare with brute
+   force; keys are (column 2, column 0) *)
+let ix_agrees cs ix =
+  List.for_all
+    (fun key ->
+      fst (walk_matches cs ix ix_cols key) = brute_matches cs ix_cols key)
+    (List.concat_map
+       (fun j -> List.init 12 (fun k -> [| j; k |]))
+       [ 0; 1; 2; 3 ])
+
+let run_ix_case shards (start, ops) =
+  match start with
+  | On_flat n ->
+      let data = Array.make (max 16 n * 3) 0 in
+      for r = 0 to n - 1 do
+        Array.blit (ix_row (r mod 12, r, r mod 4)) 0 data (r * 3) 3
+      done;
+      let cs = Colstore.of_flat ~shards ~arity:3 ~rows:n data in
+      ix_agrees cs (Colstore.ensure_index cs ix_cols)
+  | On_empty | Mid_way _ ->
+      let cs = Colstore.create ~shards ~arity:3 16 in
+      let inserted = ref [||] in
+      let ok = ref true in
+      let ix = ref None in
+      let build () = ix := Some (Colstore.ensure_index cs ix_cols) in
+      if start = On_empty then build ();
+      List.iteri
+        (fun i op ->
+          if start = Mid_way i then build ();
+          (match op with
+          | Insert (k, x, j) ->
+              let cells = ix_row (k, x, j) in
+              if Colstore.insert cs cells <> None then
+                inserted := Array.append !inserted [| cells |]
+          | Remove i ->
+              let n = Array.length !inserted in
+              if n > 0 then ignore (Colstore.remove cs !inserted.(i mod n))
+          | Maybe_prune -> Colstore.maybe_prune cs
+          | Prune -> Colstore.prune_indexes cs);
+          match !ix with
+          | Some ix when i mod 25 = 0 -> ok := !ok && ix_agrees cs ix
+          | _ -> ())
+        ops;
+      if !ix = None then build ();
+      !ok && match !ix with Some ix -> ix_agrees cs ix | None -> false
+
+let prop_index_walk =
+  QCheck.Test.make
+    ~name:"colstore: index walks visit exactly the live matches, newest first"
+    ~count:150
+    (QCheck.make gen_ix_case ~print:print_ix_case)
+    (fun case -> List.for_all (fun shards -> run_ix_case shards case) [ 1; 3 ])
+
+(* The head array is sized from the live count when the index is built:
+   a bulk-loaded store must not start at a handful of buckets, which
+   would turn every probe into a long chain walk. *)
+let test_index_sized_from_count () =
+  let n = 10_000 in
+  let data = Array.make (n * 2) 0 in
+  for r = 0 to n - 1 do
+    data.(2 * r) <- r;
+    data.((2 * r) + 1) <- r * 7
+  done;
+  let cs = Colstore.of_flat ~shards:1 ~arity:2 ~rows:n data in
+  let ix = Colstore.ensure_index cs [| 0 |] in
+  let visited = ref 0 and found = ref 0 in
+  for k = 0 to n - 1 do
+    let hits, seen = walk_matches cs ix [| 0 |] [| k |] in
+    visited := !visited + seen;
+    found := !found + List.length hits
+  done;
+  Alcotest.(check int) "every key found once" n !found;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d candidates visited for %d probes (at most 2 per probe)"
+       !visited n)
+    true
+    (!visited <= 2 * n)
+
 (* ---- engine shard invariance -------------------------------------------- *)
 
 let esource =
@@ -266,6 +414,9 @@ let suite =
           test_colstore_shard_invariant;
         Alcotest.test_case "colstore adopts a flat arena" `Quick
           test_colstore_of_flat;
+        q prop_index_walk;
+        Alcotest.test_case "colstore index sized from the live count" `Quick
+          test_index_sized_from_count;
         Alcotest.test_case "engine matrix: shards {1,3,4,7} × domains {1,4}"
           `Quick test_engine_shard_matrix;
         Alcotest.test_case "interned engine tracks the chase" `Quick
