@@ -1,12 +1,16 @@
 (* Regenerates the paper's evaluation artefacts (Table 1, Figures 6/7)
-   from the built-in datasets.
+   from the built-in datasets, and runs the repository's benchmarks.
 
    Usage:
      experiments            — everything
      experiments table1     — dataset characteristics + generation time
      experiments fig6       — average precision per domain
      experiments fig7       — average recall per domain
-     experiments cases      — per-case breakdown *)
+     experiments cases      — per-case breakdown
+     experiments exchange-scale | parallel-scale | incremental | compose
+                 | generate | serve-load | robust  [--smoke] [--json]
+                            — one benchmark; --json writes its rows to
+                              BENCH_<bench>.json *)
 
 open Cmdliner
 
@@ -57,53 +61,150 @@ let all () =
   Fmt.pr "@.";
   ablation ()
 
-(* exchange-scale: the plan-based exchange engine vs the naive chase on
-   the DBLP domain at increasing generated-source sizes; optionally
-   records the measurements as BENCH_exchange.json. *)
+(* ---- bench rows ---------------------------------------------------------
 
+   Every BENCH_<bench>.json this program writes is a JSON array of rows
+   with the same twelve keys, in this order: bench, name, unit, size,
+   domains, shards, seed, cores, runs, median, min, max. A timing row is
+   in ns and summarises [runs] runs; a count, ratio or rate row holds one
+   value ([runs] 1). [size] is the workload's input size (source tuples,
+   batch operations or discovery cases), [seed] is null for a workload
+   without one, and [cores] is the host's recommended domain count: a
+   row at more domains than cores measures overhead, not speedup. *)
+
+type spread = { runs : int; median : float; min : float; max : float }
+
+type row = {
+  name : string;
+  unit : string;
+  size : int;
+  domains : int;
+  shards : int;
+  seed : int option;
+  stats : spread;
+}
+
+let one v = { runs = 1; median = v; min = v; max = v }
+
+let spread_of xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  let n = Array.length a in
+  let median =
+    if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
+  in
+  { runs = n; median; min = a.(0); max = a.(n - 1) }
+
+(* [shards] defaults to the count an engine run without a pool uses *)
+let row ?(domains = 1) ?(shards = Smg_exchange.Engine.resolve_shards ())
+    ?seed ~size name unit stats =
+  { name; unit; size; domains; shards; seed; stats }
+
+let write_rows bench rows =
+  let path = Printf.sprintf "BENCH_%s.json" bench in
+  let cores = Domain.recommended_domain_count () in
+  let num v =
+    if Float.is_integer v then Printf.sprintf "%.0f" v
+    else Printf.sprintf "%.4f" v
+  in
+  let oc = open_out path in
+  output_string oc "[\n";
+  List.iteri
+    (fun i r ->
+      Printf.fprintf oc
+        "%s  {\"bench\": \"%s\", \"name\": \"%s\", \"unit\": \"%s\", \
+         \"size\": %d, \"domains\": %d, \"shards\": %d, \"seed\": %s, \
+         \"cores\": %d, \"runs\": %d, \"median\": %s, \"min\": %s, \"max\": \
+         %s}"
+        (if i = 0 then "" else ",\n")
+        bench r.name r.unit r.size r.domains r.shards
+        (match r.seed with Some s -> string_of_int s | None -> "null")
+        cores r.stats.runs (num r.stats.median) (num r.stats.min)
+        (num r.stats.max))
+    rows;
+  output_string oc "\n]\n";
+  close_out oc;
+  Fmt.pr "@.wrote %s (%d rows)@." path (List.length rows)
+
+(* [measure f] is [f]'s first result and the spread, in ns, of at least
+   3 runs of [f], continued until 0.1 s has passed in total or 50 runs
+   are done *)
 let measure f =
-  (* one warm-up-free shot for long runs; short runs take the best of
-     several repeats — the minimum is the low-noise estimator when a
-     scheduler slice or a GC pause can land mid-run (which the first,
-     cache-cold shot absorbs as warm-up) *)
-  let x, secs = Smg_exchange.Obs.time f in
-  if secs >= 0.05 then (x, secs, 1)
-  else begin
-    let runs = min 50 (max 2 (int_of_float (0.1 /. max 1e-6 secs))) in
-    let best = ref infinity in
-    for _ = 1 to runs do
+  let x, s = Smg_exchange.Obs.time f in
+  let rec go acc n total =
+    if n >= 50 || (n >= 3 && total >= 0.1) then acc
+    else
       let _, s = Smg_exchange.Obs.time f in
-      if s < !best then best := s
-    done;
-    (x, !best, runs)
-  end
+      go (s :: acc) (n + 1) (total +. s)
+  in
+  (x, spread_of (List.map (fun s -> Float.round (1e9 *. s)) (go [ s ] 1 s)))
+
+let builtin name =
+  List.find
+    (fun s -> s.Smg_eval.Scenario.scen_name = name)
+    (Smg_eval.Datasets.all ())
+
+(* each case's best semantic candidate as executable tgds, renamed after
+   the case; an outer-join candidate contributes its variants *)
+let best_tgds (scen : Smg_eval.Scenario.t) =
+  let target = scen.Smg_eval.Scenario.target.Smg_core.Discover.schema in
+  List.concat_map
+    (fun (case : Smg_eval.Scenario.case) ->
+      match
+        Smg_eval.Experiments.run_method Smg_eval.Experiments.Semantic scen case
+      with
+      | [] -> []
+      | best :: _ ->
+          let best =
+            Smg_cq.Mapping.rename case.Smg_eval.Scenario.case_name best
+          in
+          if best.Smg_cq.Mapping.outer then
+            Smg_cq.Mapping.outer_variants ~target best
+          else [ Smg_cq.Mapping.to_tgd best ])
+    scen.Smg_eval.Scenario.cases
+
+(* the large fixture the hand-written domains cannot supply: a
+   generated scenario (lib/generate) whose witness instance scales to
+   [scale] tuples, with its best discovered mapping as tgds *)
+let generated_fixture ~seed ~scale =
+  let module Gparams = Smg_generate.Params in
+  let p =
+    Gparams.clamp
+      {
+        Gparams.seed;
+        isa_depth = 2;
+        n_roots = 3;
+        reify = 2;
+        partof = 1;
+        attrs_per_class = 2;
+        corr_density = 0.8;
+        scale;
+      }
+  in
+  let g = Smg_generate.Gen.build p in
+  let target = g.Smg_generate.Gen.g_target.Smg_core.Discover.schema in
+  match
+    Smg_core.Discover.discover ~source:g.Smg_generate.Gen.g_source
+      ~target:g.Smg_generate.Gen.g_target ~corrs:g.Smg_generate.Gen.g_corrs ()
+  with
+  | [] -> failwith "no mapping discovered on the generated fixture"
+  | best :: _ ->
+      ( p,
+        g,
+        if best.Smg_cq.Mapping.outer then
+          Smg_cq.Mapping.outer_variants ~target best
+        else [ Smg_cq.Mapping.to_tgd best ] )
+
+(* exchange-scale: the plan-based exchange engine vs the naive chase on
+   the DBLP domain at increasing generated-source sizes. *)
 
 let exchange_scale json smoke seed sizes =
   let module Scenario = Smg_eval.Scenario in
   let module Instance = Smg_relational.Instance in
-  let module Obs = Smg_exchange.Obs in
-  let scen =
-    List.find
-      (fun s -> s.Scenario.scen_name = "DBLP")
-      (Smg_eval.Datasets.all ())
-  in
+  let scen = builtin "DBLP" in
   let source = scen.Scenario.source.Smg_core.Discover.schema in
   let target = scen.Scenario.target.Smg_core.Discover.schema in
-  let mappings =
-    List.concat_map
-      (fun (case : Scenario.case) ->
-        match
-          Smg_eval.Experiments.run_method Smg_eval.Experiments.Semantic scen
-            case
-        with
-        | [] -> []
-        | best :: _ ->
-            let best = Smg_cq.Mapping.rename case.Scenario.case_name best in
-            if best.Smg_cq.Mapping.outer then
-              Smg_cq.Mapping.outer_variants ~target best
-            else [ Smg_cq.Mapping.to_tgd best ])
-      scen.Scenario.cases
-  in
+  let mappings = best_tgds scen in
   let sizes =
     match sizes with
     | Some s -> s
@@ -127,73 +228,42 @@ let exchange_scale json smoke seed sizes =
           match
             Smg_exchange.Engine.run ~laconic ~source ~target ~mappings inst
           with
-          | Ok rep -> Instance.total_tuples rep.Smg_exchange.Engine.r_target
+          | Ok _ -> ()
           | Error msg -> failwith ("engine: " ^ msg)
         in
         let run_chase () =
           match Smg_cq.Chase.exchange ~source ~target ~mappings inst with
-          | Smg_cq.Chase.Saturated out | Smg_cq.Chase.Bounded out ->
-              Instance.total_tuples out
+          | Smg_cq.Chase.Saturated _ | Smg_cq.Chase.Bounded _ -> ()
           | Smg_cq.Chase.Failed msg -> failwith ("chase: " ^ msg)
         in
-        let c_out, c_secs, _ = measure run_chase in
-        let e_out, e_secs, _ = measure (run_engine false) in
-        let l_out, l_secs, _ = measure (run_engine true) in
+        let _, c = measure run_chase in
+        let _, e = measure (run_engine false) in
+        let _, l = measure (run_engine true) in
         Fmt.pr "%8d %8d | %12.0f %12.0f %12.0f | %7.1fx@." rows_per_table
-          src_n (1e9 *. c_secs) (1e9 *. e_secs) (1e9 *. l_secs)
-          (c_secs /. e_secs);
-        let row name out secs =
-          {
-            Obs.br_name = name;
-            br_size = src_n;
-            br_ns_per_run = 1e9 *. secs;
-            br_tuples_per_s = float_of_int out /. secs;
-          }
-        in
+          src_n c.median e.median l.median (c.median /. e.median);
+        let row name = row ~seed ~size:src_n name "ns" in
         [
-          row "chase/dblp" c_out c_secs;
-          row "engine/dblp" e_out e_secs;
-          row "engine-laconic/dblp" l_out l_secs;
+          row "chase/dblp" c;
+          row "engine/dblp" e;
+          row "engine-laconic/dblp" l;
         ])
       sizes
   in
-  if json then begin
-    let path = "BENCH_exchange.json" in
-    Obs.write_bench_json ~path rows;
-    Fmt.pr "@.wrote %s (%d rows)@." path (List.length rows)
-  end
+  if json then write_rows "exchange" rows
 
 (* parallel-scale: the discovery and exchange workloads under a domain
    pool at increasing domain counts. Each row's ratio is its wall-clock
    time over the same workload's time at the first domain count in the
    list (normally 1). On a host with fewer cores than domains the pool
-   cannot win, so the ratio measures fan-out overhead, not speedup; every
-   row records the host's core count. Output invariance across domain
-   and shard counts is asserted on every run: the ranked discovery
-   fingerprint and both exchange cardinalities must equal the first
-   domain count's. Optionally records BENCH_parallel.json. *)
-
-let write_parallel_json ~path rows =
-  let cores = Domain.recommended_domain_count () in
-  let oc = open_out path in
-  output_string oc "[\n";
-  List.iteri
-    (fun i (name, domains, shards, ns, overhead) ->
-      if i > 0 then output_string oc ",\n";
-      Printf.fprintf oc
-        "  {\"name\": \"%s\", \"domains\": %d, \"shards\": %d, \
-         \"cores\": %d, \"ns_per_run\": %.0f, \"overhead\": %.3f}"
-        name domains shards cores ns overhead)
-    rows;
-  output_string oc "\n]\n";
-  close_out oc
+   cannot win, so the ratio measures fan-out overhead, not speedup.
+   Output invariance across domain and shard counts is asserted on every
+   run: the ranked discovery fingerprint and both exchange cardinalities
+   must equal the first domain count's. *)
 
 let parallel_scale json smoke seed domains rows gen_tuples shards =
   let module Scenario = Smg_eval.Scenario in
   let module Instance = Smg_relational.Instance in
   let module Pool = Smg_parallel.Pool in
-  let module Gen = Smg_generate.Gen in
-  let module Gparams = Smg_generate.Params in
   let domain_counts =
     match domains with
     | Some l -> l
@@ -205,12 +275,7 @@ let parallel_scale json smoke seed domains rows gen_tuples shards =
   let gen_tuples =
     match gen_tuples with Some n -> n | None -> if smoke then 2_000 else 100_000
   in
-  let find name =
-    List.find
-      (fun s -> s.Scenario.scen_name = name)
-      (Smg_eval.Datasets.all ())
-  in
-  let mondial = find "Mondial" and dblp = find "DBLP" in
+  let mondial = builtin "Mondial" and dblp = builtin "DBLP" in
   (* discovery workload: every Mondial case, per-CSG fan-out *)
   let discover_once pool =
     List.concat_map
@@ -222,21 +287,7 @@ let parallel_scale json smoke seed domains rows gen_tuples shards =
   (* exchange workload: DBLP's discovered tgds over a generated source *)
   let source = dblp.Scenario.source.Smg_core.Discover.schema in
   let target = dblp.Scenario.target.Smg_core.Discover.schema in
-  let mappings =
-    List.concat_map
-      (fun (case : Scenario.case) ->
-        match
-          Smg_eval.Experiments.run_method Smg_eval.Experiments.Semantic dblp
-            case
-        with
-        | [] -> []
-        | best :: _ ->
-            let best = Smg_cq.Mapping.rename case.Scenario.case_name best in
-            if best.Smg_cq.Mapping.outer then
-              Smg_cq.Mapping.outer_variants ~target best
-            else [ Smg_cq.Mapping.to_tgd best ])
-      dblp.Scenario.cases
-  in
+  let mappings = best_tgds dblp in
   let inst = Smg_eval.Witness.populate ~rows_per_table ~seed source in
   let src_n = Instance.total_tuples inst in
   let exchange_once pool nshards () =
@@ -247,37 +298,10 @@ let parallel_scale json smoke seed domains rows gen_tuples shards =
     | Ok rep -> Instance.total_tuples rep.Smg_exchange.Engine.r_target
     | Error msg -> failwith ("engine: " ^ msg)
   in
-  (* the large-fixture workload the hand-written domains cannot supply:
-     a generated scenario (lib/generate) whose witness instance scales
-     to whatever --gen-tuples asks for *)
-  let gen_p =
-    Gparams.clamp
-      {
-        Gparams.seed = 7;
-        isa_depth = 2;
-        n_roots = 3;
-        reify = 2;
-        partof = 1;
-        attrs_per_class = 2;
-        corr_density = 0.8;
-        scale = gen_tuples;
-      }
-  in
-  let g = Gen.build gen_p in
-  let g_source = g.Gen.g_source.Smg_core.Discover.schema in
-  let g_target = g.Gen.g_target.Smg_core.Discover.schema in
-  let g_tgds =
-    match
-      Smg_core.Discover.discover ~source:g.Gen.g_source ~target:g.Gen.g_target
-        ~corrs:g.Gen.g_corrs ()
-    with
-    | [] -> failwith "no mapping discovered on the generated fixture"
-    | best :: _ ->
-        if best.Smg_cq.Mapping.outer then
-          Smg_cq.Mapping.outer_variants ~target:g_target best
-        else [ Smg_cq.Mapping.to_tgd best ]
-  in
-  let g_inst = Gen.source_instance g in
+  let gen_p, g, g_tgds = generated_fixture ~seed:7 ~scale:gen_tuples in
+  let g_source = g.Smg_generate.Gen.g_source.Smg_core.Discover.schema in
+  let g_target = g.Smg_generate.Gen.g_target.Smg_core.Discover.schema in
+  let g_inst = Smg_generate.Gen.source_instance g in
   let g_n = Instance.total_tuples g_inst in
   let gen_once pool nshards () =
     match
@@ -292,7 +316,9 @@ let parallel_scale json smoke seed domains rows gen_tuples shards =
      tuple(s), seed %d), engine/generated (%s: %d source tuple(s)); domains \
      %s; shards %s@.@."
     (List.length mondial.Scenario.cases)
-    src_n seed (Gparams.label gen_p) g_n
+    src_n seed
+    (Smg_generate.Params.label gen_p)
+    g_n
     (String.concat "," (List.map string_of_int domain_counts))
     (match shards with Some s -> string_of_int s | None -> "= domains");
   Fmt.pr "%8s %7s | %13s %8s | %13s %8s | %13s %8s@." "domains" "shards"
@@ -305,7 +331,6 @@ let parallel_scale json smoke seed domains rows gen_tuples shards =
       ms
   in
   let first = ref None in
-  let gen_tag = Printf.sprintf "engine/generated_%dk" (g_n / 1000) in
   let bench_rows =
     List.concat_map
       (fun n ->
@@ -314,14 +339,15 @@ let parallel_scale json smoke seed domains rows gen_tuples shards =
           if n <= 1 then f None
           else Pool.with_pool ~domains:n (fun p -> f (Some p))
         in
-        let (disc, d_secs, _), (out, e_secs, _), (gout, g_secs, _) =
+        let (disc, ds), (out, es), (gout, gs) =
           with_pool (fun pool ->
               ( measure (fun () -> discover_once pool),
                 measure (exchange_once pool nshards),
                 measure (gen_once pool nshards) ))
         in
         if !first = None then
-          first := Some (fingerprint disc, out, gout, d_secs, e_secs, g_secs);
+          first :=
+            Some (fingerprint disc, out, gout, ds.median, es.median, gs.median);
         let fp0, out0, gout0, d0, e0, g0 = Option.get !first in
         if fingerprint disc <> fp0 then
           failwith "discovery output varies with the domain count";
@@ -331,23 +357,20 @@ let parallel_scale json smoke seed domains rows gen_tuples shards =
                "exchange cardinalities diverge at %d domain(s), %d shard(s): \
                 dblp %d vs %d, generated %d vs %d"
                n nshards out out0 gout gout0);
-        let d_ov = d_secs /. d0 and e_ov = e_secs /. e0 and g_ov = g_secs /. g0 in
         Fmt.pr "%8d %7d | %13.0f %7.2fx | %13.0f %7.2fx | %13.0f %7.2fx@." n
-          nshards (1e9 *. d_secs) d_ov (1e9 *. e_secs) e_ov (1e9 *. g_secs)
-          g_ov;
+          nshards ds.median (ds.median /. d0) es.median (es.median /. e0)
+          gs.median (gs.median /. g0);
+        let row = row ~domains:n ~shards:nshards in
         [
-          ("discover/mondial", n, nshards, 1e9 *. d_secs, d_ov);
-          ("engine/dblp", n, nshards, 1e9 *. e_secs, e_ov);
-          (gen_tag, n, nshards, 1e9 *. g_secs, g_ov);
+          row ~size:(List.length mondial.Scenario.cases) "discover/mondial" "ns"
+            ds;
+          row ~seed ~size:src_n "engine/dblp" "ns" es;
+          row ~seed:gen_p.Smg_generate.Params.seed ~size:g_n "engine/generated"
+            "ns" gs;
         ])
       domain_counts
   in
-  if json then begin
-    let path = "BENCH_parallel.json" in
-    write_parallel_json ~path bench_rows;
-    Fmt.pr "@.wrote %s (%d rows)@." path (List.length bench_rows)
-  end
-
+  if json then write_rows "parallel" bench_rows
 
 (* incremental: delta-chase maintenance (lib/delta) vs a full re-chase
    on the generated large fixture, across batch sizes from 0.1% to 50%
@@ -358,26 +381,11 @@ let parallel_scale json smoke seed domains rows gen_tuples shards =
    equivalent to the rebuild, then rolls the batch back with its inverse
    so fractions are independent (the rollback is digest-checked). The
    rebuild's rendered document is also asserted byte-identical at 1 and
-   4 domains. Optionally records BENCH_incremental.json. *)
-
-let write_incremental_json ~path rows =
-  let oc = open_out path in
-  output_string oc "[\n";
-  List.iteri
-    (fun i (frac, ops, delta_ns, rebuild_ns, speedup, equiv) ->
-      if i > 0 then output_string oc ",\n";
-      Printf.fprintf oc
-        "  {\"name\": \"incremental/generated\", \"fraction\": %.4f, \
-         \"batch_ops\": %d, \"delta_ns\": %.0f, \"rebuild_ns\": %.0f, \
-         \"speedup\": %.2f, \"hom_equivalent\": %b}"
-        frac ops delta_ns rebuild_ns speedup equiv)
-    rows;
-  output_string oc "\n]\n";
-  close_out oc
+   4 domains. Both timings are single runs: re-applying a rolled-back
+   batch would find its constants already interned and hide the cost of
+   interning fresh ones. *)
 
 let incremental json smoke seed gen_tuples =
-  let module Gen = Smg_generate.Gen in
-  let module Gparams = Smg_generate.Params in
   let module Instance = Smg_relational.Instance in
   let module Value = Smg_relational.Value in
   let module Schema = Smg_relational.Schema in
@@ -388,34 +396,10 @@ let incremental json smoke seed gen_tuples =
   let gen_tuples =
     match gen_tuples with Some n -> n | None -> if smoke then 2_000 else 100_000
   in
-  let gen_p =
-    Gparams.clamp
-      {
-        Gparams.seed;
-        isa_depth = 2;
-        n_roots = 3;
-        reify = 2;
-        partof = 1;
-        attrs_per_class = 2;
-        corr_density = 0.8;
-        scale = gen_tuples;
-      }
-  in
-  let g = Gen.build gen_p in
-  let source = g.Gen.g_source.Smg_core.Discover.schema in
-  let target = g.Gen.g_target.Smg_core.Discover.schema in
-  let mappings =
-    match
-      Smg_core.Discover.discover ~source:g.Gen.g_source ~target:g.Gen.g_target
-        ~corrs:g.Gen.g_corrs ()
-    with
-    | [] -> failwith "no mapping discovered on the generated fixture"
-    | best :: _ ->
-        if best.Smg_cq.Mapping.outer then
-          Smg_cq.Mapping.outer_variants ~target best
-        else [ Smg_cq.Mapping.to_tgd best ]
-  in
-  let inst = Gen.source_instance g in
+  let gen_p, g, mappings = generated_fixture ~seed ~scale:gen_tuples in
+  let source = g.Smg_generate.Gen.g_source.Smg_core.Discover.schema in
+  let target = g.Smg_generate.Gen.g_target.Smg_core.Discover.schema in
+  let inst = Smg_generate.Gen.source_instance g in
   let src_n = Instance.total_tuples inst in
   let compiled =
     match
@@ -481,13 +465,14 @@ let incremental json smoke seed gen_tuples =
   Fmt.pr
     "incremental: generated fixture %s (%d source tuple(s), %d tgd(s)), \
      fractions %s@.@."
-    (Gparams.label gen_p) src_n (List.length mappings)
+    (Smg_generate.Params.label gen_p)
+    src_n (List.length mappings)
     (String.concat "," (List.map (Printf.sprintf "%.3f") fractions));
   Fmt.pr "%9s %8s | %13s %13s | %8s | %s@." "fraction" "ops" "delta ns"
     "rebuild ns" "speedup" "equiv";
   let failures = ref [] in
   let rows =
-    List.map
+    List.concat_map
       (fun frac ->
         let step = max 2 (int_of_float (1.0 /. frac)) in
         let cur = Maintain.source st in
@@ -516,20 +501,12 @@ let incremental json smoke seed gen_tuples =
            building above, so the major GC does not run inside the
            timed apply *)
         Gc.full_major ();
-        let (st', c), delta_secs =
+        let (st', _), delta_secs =
           Smg_exchange.Obs.time (fun () ->
               match Maintain.apply st batch with
               | Ok r -> r
               | Error m -> failwith ("apply: " ^ m))
         in
-        ignore c;
-        if Sys.getenv_opt "SMG_INCR_DEBUG" <> None then
-          Fmt.pr
-            "  [debug] fired=%d fadd=%d fret=%d merges=%d erebuild=%d \
-             frebuild=%d@."
-            c.Maintain.mc_triggers_fired c.Maintain.mc_facts_added
-            c.Maintain.mc_facts_retracted c.Maintain.mc_egd_merges
-            c.Maintain.mc_egd_rebuilds c.Maintain.mc_full_rebuilds;
         let final = Maintain.source st' in
         Gc.full_major ();
         let rep, rebuild_secs =
@@ -568,14 +545,16 @@ let incremental json smoke seed gen_tuples =
                              source" frac);
         Fmt.pr "%9.3f %8d | %13.0f %13.0f | %7.1fx | %b@." frac ops
           (1e9 *. delta_secs) (1e9 *. rebuild_secs) speedup equiv;
-        (frac, ops, 1e9 *. delta_secs, 1e9 *. rebuild_secs, speedup, equiv))
+        let shot secs = one (Float.round (1e9 *. secs)) in
+        [
+          row ~seed ~size:ops (Printf.sprintf "delta/%.3f" frac) "ns"
+            (shot delta_secs);
+          row ~seed ~size:src_n (Printf.sprintf "rebuild/%.3f" frac) "ns"
+            (shot rebuild_secs);
+        ])
       fractions
   in
-  if json then begin
-    let path = "BENCH_incremental.json" in
-    write_incremental_json ~path rows;
-    Fmt.pr "@.wrote %s (%d rows)@." path (List.length rows)
-  end;
+  if json then write_rows "incremental" rows;
   match !failures with
   | [] -> ()
   | fs ->
@@ -588,8 +567,8 @@ let incremental json smoke seed gen_tuples =
    synthesizes a scenario, runs semantic discovery (raw and deduped
    against the RIC baseline) on the focus case, and pushes the witness
    instance through the exchange engine; quality is the best
-   candidate's correspondence coverage. Optionally records
-   BENCH_generate.json. *)
+   candidate's correspondence coverage. Each quality column is its own
+   count or ratio row. *)
 
 let generate_matrix json smoke seed =
   let module Gen = Smg_generate.Gen in
@@ -639,7 +618,7 @@ let generate_matrix json smoke seed =
         let source = g.Gen.g_source and target = g.Gen.g_target in
         (* one discovery run per target-table case, like the built-in
            domains' case lists; the cell aggregates over them *)
-        let per_case, d_secs, _ =
+        let per_case, d =
           measure (fun () ->
               List.map
                 (fun (tbl, corrs) ->
@@ -664,7 +643,7 @@ let generate_matrix json smoke seed =
               Mapping.rename (Printf.sprintf "%s#%d" m.Mapping.m_name (i + 1)) m)
             (sem @ ric)
         in
-        let report, dd_secs, _ =
+        let report, dd =
           measure (fun () ->
               Smg_verify.Mapverify.dedup
                 ~source:source.Smg_core.Discover.schema
@@ -725,64 +704,57 @@ let generate_matrix json smoke seed =
                         (Instance.total_tuples rep.Smg_exchange.Engine.r_target)
                   | Error _ -> None)
             with
-            | Some out, secs, _ -> Some (out, secs)
-            | None, _, _ -> None
+            | Some out, e -> Some (out, e)
+            | None, _ -> None
         in
         let label = Printf.sprintf "i%d_c%02d_n%d" isa
             (int_of_float (density *. 100.)) scale in
+        let dedup_in = report.Smg_verify.Mapverify.rp_in in
+        let dedup_kept = List.length report.Smg_verify.Mapverify.rp_kept in
         Fmt.pr
           "%-22s | %2d/%-2d %4d %4d | %4d %4d %4.0f%% | %8.0f %8.0f | %6d | \
            %9s %9s@."
           label solved (List.length per_case) (List.length sem)
-          (List.length ric) report.Smg_verify.Mapverify.rp_in
-          (List.length report.Smg_verify.Mapverify.rp_kept)
-          (100. *. coverage) (1e9 *. d_secs) (1e9 *. dd_secs) src_n
+          (List.length ric) dedup_in dedup_kept (100. *. coverage) d.median
+          dd.median src_n
           (match exch with
-           | Some (_, s) -> Printf.sprintf "%.0f" (1e9 *. s)
+           | Some (_, e) -> Printf.sprintf "%.0f" e.median
            | None -> "-")
           (match exch with Some (o, _) -> string_of_int o | None -> "-");
+        let row name unit stats =
+          row ~seed ~size:src_n
+            (Printf.sprintf "generate/%s/%s" label name)
+            unit stats
+        in
+        let count name n = row name "count" (one (float_of_int n)) in
         [
-          Printf.sprintf
-            "  {\"name\": \"generate/%s\", \"seed\": %d, \"isa_depth\": %d, \
-             \"corr_density\": %.2f, \"scale\": %d,\n   \"source_tuples\": \
-             %d, \"cases\": %d, \"solved_cases\": %d, \"corrs\": %d, \
-             \"semantic_candidates\": %d, \"ric_candidates\": %d,\n   \
-             \"dedup_in\": %d, \"dedup_kept\": %d, \"coverage\": %.3f,\n   \
-             \"discover_ns\": %.0f, \"dedup_ns\": %.0f, \"exchange_ns\": %s, \
-             \"target_tuples\": %s}"
-            label seed isa density scale src_n (List.length per_case) solved
-            n_corrs (List.length sem) (List.length ric)
-            report.Smg_verify.Mapverify.rp_in
-            (List.length report.Smg_verify.Mapverify.rp_kept)
-            coverage (1e9 *. d_secs) (1e9 *. dd_secs)
-            (match exch with
-             | Some (_, s) -> Printf.sprintf "%.0f" (1e9 *. s)
-             | None -> "null")
-            (match exch with
-             | Some (o, _) -> string_of_int o
-             | None -> "null");
-        ])
+          count "cases" (List.length per_case);
+          count "solved_cases" solved;
+          count "corrs" n_corrs;
+          count "semantic_candidates" (List.length sem);
+          count "ric_candidates" (List.length ric);
+          count "dedup_in" dedup_in;
+          count "dedup_kept" dedup_kept;
+          row "coverage" "ratio" (one coverage);
+          row "discover" "ns" d;
+          row "dedup" "ns" dd;
+        ]
+        @
+        match exch with
+        | None -> []
+        | Some (out, e) -> [ row "exchange" "ns" e; count "target_tuples" out ])
       cells
   in
-  if json then begin
-    let path = "BENCH_generate.json" in
-    let oc = open_out path in
-    output_string oc "[\n";
-    output_string oc (String.concat ",\n" rows);
-    output_string oc "\n]\n";
-    close_out oc;
-    Fmt.pr "@.wrote %s (%d cells)@." path (List.length rows)
-  end
+  if json then write_rows "generate" rows
 
 (* compose: two-hop round-trip chains (each domain's discovered mapping
    followed by its quasi-inverse into a primed source copy), composed
    into one mapping; sequential two-hop exchange vs composed one-shot,
-   with the hom-equivalence verdict. Optionally records BENCH_compose.json. *)
+   with the hom-equivalence verdict. *)
 
 let compose_report json smoke seed size =
   let module Scenario = Smg_eval.Scenario in
   let module Instance = Smg_relational.Instance in
-  let module Obs = Smg_exchange.Obs in
   let module Compose = Smg_compose.Compose in
   let module Invert = Smg_compose.Invert in
   let module Pipeline = Smg_compose.Pipeline in
@@ -798,23 +770,7 @@ let compose_report json smoke seed size =
       (fun (scen : Scenario.t) ->
         let source = scen.Scenario.source.Smg_core.Discover.schema in
         let target = scen.Scenario.target.Smg_core.Discover.schema in
-        let m12 =
-          List.concat_map
-            (fun (case : Scenario.case) ->
-              match
-                Smg_eval.Experiments.run_method Smg_eval.Experiments.Semantic
-                  scen case
-              with
-              | [] -> []
-              | best :: _ ->
-                  let best =
-                    Smg_cq.Mapping.rename case.Scenario.case_name best
-                  in
-                  if best.Smg_cq.Mapping.outer then
-                    Smg_cq.Mapping.outer_variants ~target best
-                  else [ Smg_cq.Mapping.to_tgd best ])
-            scen.Scenario.cases
-        in
+        let m12 = best_tgds scen in
         if m12 = [] then begin
           Fmt.pr "%-8s | no mapping discovered, skipped@."
             scen.Scenario.scen_name;
@@ -837,7 +793,7 @@ let compose_report json smoke seed size =
           let src_n = Instance.total_tuples inst in
           let seq () =
             match Pipeline.sequential hops inst with
-            | Ok out -> Instance.total_tuples out
+            | Ok _ -> ()
             | Error _ -> failwith "sequential leg failed"
           in
           let comp () =
@@ -845,7 +801,7 @@ let compose_report json smoke seed size =
               Pipeline.one_shot ~source ~target:primed ~exec:r.Compose.c_exec
                 inst
             with
-            | Ok out -> Instance.total_tuples out
+            | Ok _ -> ()
             | Error _ -> failwith "composed leg failed"
           in
           let equiv =
@@ -853,41 +809,30 @@ let compose_report json smoke seed size =
             | Ok vd -> vd.Pipeline.vd_equiv
             | Error _ -> false
           in
-          let s_out, s_secs, _ = measure seq in
-          let c_out, c_secs, _ = measure comp in
+          let _, s = measure seq in
+          let _, c = measure comp in
           Fmt.pr "%-8s | %7d %5d %8d %7d | %12.0f %12.0f %6.1fx | %b@."
             scen.Scenario.scen_name
             (List.length r.Compose.c_clauses)
             (List.length r.Compose.c_plain)
             (List.length r.Compose.c_residual)
-            r.Compose.c_dropped (1e9 *. s_secs) (1e9 *. c_secs)
-            (s_secs /. c_secs) equiv;
-          let row name out secs =
-            {
-              Obs.br_name = name;
-              br_size = src_n;
-              br_ns_per_run = 1e9 *. secs;
-              br_tuples_per_s = float_of_int out /. secs;
-            }
-          in
+            r.Compose.c_dropped s.median c.median (s.median /. c.median) equiv;
           let tag = String.lowercase_ascii scen.Scenario.scen_name in
-          [ row ("sequential/" ^ tag) s_out s_secs;
-            row ("composed/" ^ tag) c_out c_secs ]
+          [
+            row ~seed ~size:src_n ("sequential/" ^ tag) "ns" s;
+            row ~seed ~size:src_n ("composed/" ^ tag) "ns" c;
+          ]
         end)
       (Smg_eval.Datasets.all ())
   in
-  if json then begin
-    let path = "BENCH_compose.json" in
-    Obs.write_bench_json ~path bench_rows;
-    Fmt.pr "@.wrote %s (%d rows)@." path (List.length bench_rows)
-  end
+  if json then write_rows "compose" bench_rows
 
 (* serve-load: the HTTP service under concurrent client load, in one
    process — the server runs in its own domain (with its own handler
    pool) on an ephemeral port, client domains drive it over loopback
    sockets. Measures the cold (first-request) latency per scenario
    against the warm (plan-cache hit) latency distribution, and the
-   sustained warm throughput; optionally records BENCH_serve.json. *)
+   sustained warm throughput. *)
 
 let find_substring hay needle from =
   let nh = String.length hay and nn = String.length needle in
@@ -936,15 +881,6 @@ let http_request ~port meth path body =
       in
       (status, body))
 
-let percentile xs q =
-  let n = Array.length xs in
-  if n = 0 then 0.0
-  else begin
-    let xs = Array.copy xs in
-    Array.sort compare xs;
-    xs.(min (n - 1) (max 0 (int_of_float (ceil (q *. float_of_int n)) - 1)))
-  end
-
 let serve_load json smoke domains clients =
   let cfg =
     {
@@ -979,35 +915,44 @@ let serve_load json smoke domains clients =
     if status <> 200 then failwith (Printf.sprintf "%s -> %d" p status);
     dt
   in
+  let row = row ~domains ~seed:cfg.Smg_serve.Server.seed in
   Fmt.pr
     "serve-load: port %d, %d server domain(s), %d client(s), %d scenario(s), \
      size %d@.@."
     port domains clients (List.length scens) size;
-  Fmt.pr "%10s %9s | %9s %9s %9s | %7s@." "scenario" "endpoint" "cold ms"
-    "p50 ms" "p95 ms" "ratio";
+  Fmt.pr "%10s %9s | %9s %9s | %7s@." "scenario" "endpoint" "cold ms"
+    "p50 ms" "ratio";
   (* cold then warm, per scenario, single client: the cold request pays
      parse + discovery + witness generation + plan compilation, warm
      ones hit the caches. Discover is served entirely from the cache
      when warm; exchange re-executes the chase per request over cached
      plans, so its ratio floors at the execution cost. *)
-  let measure scen endpoint p =
-    let cold = timed_post p in
-    let lats = Array.init warm_iters (fun _ -> timed_post p) in
-    let p50 = percentile lats 0.50 and p95 = percentile lats 0.95 in
-    let ratio = cold /. max 1e-9 p50 in
-    Fmt.pr "%10s %9s | %9.2f %9.2f %9.2f | %6.1fx@." scen endpoint
-      (1000. *. cold) (1000. *. p50) (1000. *. p95) ratio;
-    (cold, p50, p95, ratio)
+  let probe scen endpoint ~size p =
+    let ns secs = Float.round (1e9 *. secs) in
+    let cold = ns (timed_post p) in
+    let warm = spread_of (List.init warm_iters (fun _ -> ns (timed_post p))) in
+    Fmt.pr "%10s %9s | %9.2f %9.2f | %6.1fx@." scen endpoint (cold /. 1e6)
+      (warm.median /. 1e6)
+      (cold /. max 1. warm.median);
+    let name kind = Printf.sprintf "serve/%s/%s/%s" scen endpoint kind in
+    ( cold,
+      warm.median,
+      [
+        row ~size (name "cold") "ns" (one cold);
+        row ~size (name "warm") "ns" warm;
+      ] )
   in
-  let per_scen =
-    List.map
+  let scen_rows =
+    List.concat_map
       (fun scen ->
-        let d = measure scen "discover" (disc_path scen) in
-        let e = measure scen "exchange" (path scen) in
-        let cold_d, p50_d, _, _ = d and cold_e, p50_e, _, _ = e in
-        let combined = (cold_d +. cold_e) /. max 1e-9 (p50_d +. p50_e) in
-        Fmt.pr "%10s %9s | %29s | %6.1fx@." "" "combined" "" combined;
-        (scen, d, e, combined))
+        (* the discover route takes no source instance: size 0 *)
+        let cold_d, p50_d, d_rows =
+          probe scen "discover" ~size:0 (disc_path scen)
+        in
+        let cold_e, p50_e, e_rows = probe scen "exchange" ~size (path scen) in
+        Fmt.pr "%10s %9s | %19s | %6.1fx@." "" "combined" ""
+          ((cold_d +. cold_e) /. max 1. (p50_d +. p50_e));
+        d_rows @ e_rows)
       scens
   in
   (* sustained warm throughput: [clients] domains hammer the cached
@@ -1065,70 +1010,68 @@ let serve_load json smoke domains clients =
   check "exchange" (List.length scens * (1 + warm_iters) + total);
   Smg_serve.Server.stop srv;
   Domain.join server_domain;
-  if json then begin
-    let path = "BENCH_serve.json" in
-    let endpoint_json (cold, p50, p95, ratio) =
-      Printf.sprintf
-        "{\"cold_ms\": %.3f, \"warm_p50_ms\": %.3f, \"warm_p95_ms\": %.3f, \
-         \"warm_cold_ratio\": %.2f}"
-        (1000. *. cold) (1000. *. p50) (1000. *. p95) ratio
-    in
-    let row (scen, d, e, combined) =
-      Printf.sprintf
-        "  {\"name\": \"serve/%s\", \"size\": %d,\n   \"discover\": %s,\n   \
-         \"exchange\": %s,\n   \"warm_cold_ratio\": %.2f}"
-        scen size (endpoint_json d) (endpoint_json e) combined
-    in
-    let oc = open_out path in
-    Printf.fprintf oc
-      "{\"throughput_rps\": %.1f,\n \"clients\": %d,\n \"server_domains\": \
-       %d,\n \"requests\": %d,\n \"scenarios\": [\n%s\n ]}\n"
-      rps clients domains total
-      (String.concat ",\n" (List.map row per_scen));
-    close_out oc;
-    Fmt.pr "@.wrote %s (%d scenario(s))@." path (List.length per_scen)
-  end
+  if json then
+    write_rows "serve"
+      (scen_rows
+      @ [
+          row ~size
+            (Printf.sprintf "serve/throughput/%d-clients" clients)
+            "1/s" (one rps);
+        ])
 
-(* chaos: the robustness benchmark — drive the fault-injected service
-   and record survival rate, retry counts, breaker trips, and
-   journal-recovery latency. Exits 1 if the survival contract breaks,
-   so CI catches a regression the same way it catches a failing test. *)
-let chaos_bench json smoke seed domains =
-  let requests = if smoke then 200 else 1000 in
-  let journal = Filename.temp_file "mapdisc_chaos" ".journal" in
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let cfg =
-    {
-      (Smg_serve.Chaos.config ~journal ~seed ~requests ~domains ()) with
-      Smg_serve.Chaos.c_log = (fun line -> Fmt.epr "%s@." line);
-    }
+(* robust: the budget layer's bookkeeping cost. The same Mondial
+   semantic discovery runs unguarded and under a budget of max_int fuel
+   threaded through the Steiner DP and path search: the guarded run
+   pays every fuel check and never degrades, so the difference is pure
+   bookkeeping. *)
+
+let robust json smoke =
+  let mondial = builtin "Mondial" in
+  let cases =
+    if smoke then [ List.hd mondial.Smg_eval.Scenario.cases ]
+    else mondial.Smg_eval.Scenario.cases
   in
-  let r = Smg_serve.Chaos.run cfg in
-  (try Sys.remove journal with Sys_error _ -> ());
-  Fmt.pr "%a" Smg_serve.Chaos.pp_report r;
-  if json then begin
-    let path = "BENCH_chaos.json" in
-    let oc = open_out path in
-    output_string oc (Smg_serve.Chaos.report_json r);
-    close_out oc;
-    Fmt.pr "@.wrote %s@." path
-  end;
-  if not (Smg_serve.Chaos.ok r) then exit 1
+  let discover budget () =
+    List.iter
+      (fun case ->
+        let budget =
+          Option.map (fun fuel -> Smg_robust.Budget.create ~fuel ()) budget
+        in
+        ignore (Smg_eval.Experiments.run_semantic_bounded ?budget mondial case))
+      cases
+  in
+  (* a discarded pass first: a process's first ~0.1 s of runs read up
+     to 10% slower while its major heap grows, which would otherwise
+     land on whichever side is measured first *)
+  ignore (measure (discover None));
+  let _, u = measure (discover None) in
+  let _, g = measure (discover (Some max_int)) in
+  Fmt.pr "robust: Mondial semantic discovery, %d case(s)@.@."
+    (List.length cases);
+  Fmt.pr "%12s %12s | %8s@." "unguarded ns" "guarded ns" "overhead";
+  Fmt.pr "%12.0f %12.0f | %+7.2f%%@." u.median g.median
+    (100. *. (g.median -. u.median) /. u.median);
+  if json then
+    let size = List.length cases in
+    write_rows "robust"
+      [
+        row ~size "discover-unguarded/mondial" "ns" u;
+        row ~size "discover-guarded/mondial" "ns" g;
+      ]
 
 let cmd_of name doc f = Cmd.v (Cmd.info name ~doc) Term.(const f $ const ())
 
+let json_flag bench =
+  Arg.(
+    value & flag
+    & info [ "json" ] ~doc:(Printf.sprintf "Write BENCH_%s.json" bench))
+
+let smoke_flag doc = Arg.(value & flag & info [ "smoke" ] ~doc)
+
+let seed_opt default doc =
+  Arg.(value & opt int default & info [ "seed" ] ~docv:"S" ~doc)
+
 let exchange_scale_cmd =
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Write BENCH_exchange.json")
-  in
-  let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ] ~doc:"Tiny sizes only (CI smoke test)")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"S" ~doc:"Source seed")
-  in
   let sizes =
     Arg.(
       value
@@ -1141,19 +1084,12 @@ let exchange_scale_cmd =
        ~doc:
          "Plan-based exchange engine vs the naive chase at increasing \
           source sizes")
-    Term.(const exchange_scale $ json $ smoke $ seed $ sizes)
+    Term.(
+      const exchange_scale $ json_flag "exchange"
+      $ smoke_flag "Tiny sizes only (CI smoke test)"
+      $ seed_opt 42 "Source seed" $ sizes)
 
 let parallel_scale_cmd =
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Write BENCH_parallel.json")
-  in
-  let smoke =
-    Arg.(
-      value & flag & info [ "smoke" ] ~doc:"Tiny sizes only (CI smoke test)")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"S" ~doc:"Source seed")
-  in
   let domains =
     Arg.(
       value
@@ -1194,21 +1130,11 @@ let parallel_scale_cmd =
          "Pooled discovery and exchange at increasing domain counts, with \
           output-invariance checks against the first domain count")
     Term.(
-      const parallel_scale $ json $ smoke $ seed $ domains $ rows $ gen_tuples
-      $ shards)
+      const parallel_scale $ json_flag "parallel"
+      $ smoke_flag "Tiny sizes only (CI smoke test)"
+      $ seed_opt 42 "Source seed" $ domains $ rows $ gen_tuples $ shards)
 
 let incremental_cmd =
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Write BENCH_incremental.json")
-  in
-  let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ] ~doc:"Tiny fixture, three fractions (CI smoke test)")
-  in
-  let seed =
-    Arg.(value & opt int 7 & info [ "seed" ] ~docv:"S" ~doc:"Generator seed")
-  in
   let gen_tuples =
     Arg.(
       value
@@ -1222,19 +1148,12 @@ let incremental_cmd =
          "Delta-chase maintenance vs a full re-chase across batch sizes on \
           the generated fixture, with per-row homomorphic-equivalence and \
           rollback checks")
-    Term.(const incremental $ json $ smoke $ seed $ gen_tuples)
+    Term.(
+      const incremental $ json_flag "incremental"
+      $ smoke_flag "Tiny fixture, three fractions (CI smoke test)"
+      $ seed_opt 7 "Generator seed" $ gen_tuples)
 
 let compose_cmd =
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Write BENCH_compose.json")
-  in
-  let smoke =
-    Arg.(
-      value & flag & info [ "smoke" ] ~doc:"Tiny sizes only (CI smoke test)")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"S" ~doc:"Source seed")
-  in
   let size =
     Arg.(
       value & opt int 4
@@ -1245,36 +1164,24 @@ let compose_cmd =
        ~doc:
          "Composed one-shot exchange vs the sequential two-hop pipeline on \
           round-trip chains over every domain")
-    Term.(const compose_report $ json $ smoke $ seed $ size)
+    Term.(
+      const compose_report $ json_flag "compose"
+      $ smoke_flag "Tiny sizes only (CI smoke test)"
+      $ seed_opt 42 "Source seed" $ size)
 
 let generate_cmd =
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Write BENCH_generate.json")
-  in
-  let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ] ~doc:"Two cells at tiny scale (CI smoke test)")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"S" ~doc:"Generator seed")
-  in
   Cmd.v
     (Cmd.info "generate"
        ~doc:
          "Stress matrix over generated scenarios: ISA depth × correspondence \
           density × witness scale, semantic discovery vs the RIC baseline \
           with dedup, exchange at each cell's scale")
-    Term.(const generate_matrix $ json $ smoke $ seed)
+    Term.(
+      const generate_matrix $ json_flag "generate"
+      $ smoke_flag "Two cells at tiny scale (CI smoke test)"
+      $ seed_opt 42 "Generator seed")
 
 let serve_load_cmd =
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Write BENCH_serve.json")
-  in
-  let smoke =
-    Arg.(
-      value & flag & info [ "smoke" ] ~doc:"One scenario, few requests (CI)")
-  in
   let domains =
     Arg.(
       value & opt int 4
@@ -1291,31 +1198,20 @@ let serve_load_cmd =
        ~doc:
          "Cold-vs-warm latency and concurrent throughput of the mapdisc \
           HTTP service (in-process server on an ephemeral port)")
-    Term.(const serve_load $ json $ smoke $ domains $ clients)
+    Term.(
+      const serve_load $ json_flag "serve"
+      $ smoke_flag "One scenario, few requests (CI)"
+      $ domains $ clients)
 
-let chaos_cmd =
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Write BENCH_chaos.json")
-  in
-  let smoke =
-    Arg.(value & flag & info [ "smoke" ] ~doc:"200 requests instead of 1000")
-  in
-  let seed =
-    Arg.(value & opt int 7 & info [ "seed" ] ~docv:"S" ~doc:"Fault-plane seed")
-  in
-  let domains =
-    Arg.(
-      value & opt int 4
-      & info [ "domains" ] ~docv:"N" ~doc:"Server handler domains")
-  in
+let robust_cmd =
   Cmd.v
-    (Cmd.info "chaos"
+    (Cmd.info "robust"
        ~doc:
-         "Survival benchmark: the seeded chaos workload (with a journal and \
-          a kill-and-recover phase) against the fault-injected service; \
-          records survival rate, retry counts, breaker trips, and recovery \
-          latency")
-    Term.(const chaos_bench $ json $ smoke $ seed $ domains)
+         "Budget-check overhead: Mondial semantic discovery unguarded vs \
+          under a budget that never runs out")
+    Term.(
+      const robust $ json_flag "robust"
+      $ smoke_flag "The first Mondial case only (CI smoke test)")
 
 let () =
   (* benchmark-sized minor heap (32 MB): with several domains alive on
@@ -1323,6 +1219,15 @@ let () =
      handshake — fewer, larger collections keep that tax out of the
      measured loops (applied uniformly, baselines included) *)
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = 1 lsl 22 };
+  (* fill that heap once so its pages are mapped before anything is
+     timed: otherwise the first measured workload pays a page fault per
+     4 KB it allocates (Mondial discovery's first 50 runs read ~2x
+     slower) *)
+  let minors () = (Gc.quick_stat ()).Gc.minor_collections in
+  let m0 = minors () in
+  while minors () = m0 do
+    ignore (Sys.opaque_identity (Array.make 64 0))
+  done;
   let default = Term.(const all $ const ()) in
   let info =
     Cmd.info "experiments" ~version:"1.0"
@@ -1347,10 +1252,10 @@ let () =
               witness;
             exchange_scale_cmd;
             serve_load_cmd;
-            chaos_cmd;
             parallel_scale_cmd;
             incremental_cmd;
             compose_cmd;
             generate_cmd;
+            robust_cmd;
             cmd_of "all" "Everything" all;
           ]))

@@ -82,44 +82,3 @@ let time f =
   let t0 = Unix.gettimeofday () in
   let x = f () in
   (x, Unix.gettimeofday () -. t0)
-
-(* ---- benchmark export -------------------------------------------------- *)
-
-type bench_row = {
-  br_name : string;
-  br_size : int;
-  br_ns_per_run : float;
-  br_tuples_per_s : float;
-}
-
-(* Hand-rolled JSON writer: names and numbers only, no string escaping
-   needed beyond quotes (benchmark names are plain identifiers). *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let write_bench_json ~path rows =
-  let cores = Domain.recommended_domain_count () in
-  let oc = open_out path in
-  output_string oc "[\n";
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "  {\"name\": \"%s\", \"size\": %d, \"cores\": %d, \
-         \"ns_per_run\": %.1f, \"tuples_per_s\": %.1f}%s\n"
-        (json_escape r.br_name) r.br_size cores r.br_ns_per_run
-        r.br_tuples_per_s
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  output_string oc "]\n";
-  close_out oc

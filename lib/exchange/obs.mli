@@ -1,5 +1,4 @@
-(** Observability: per-tgd execution counters, wall-clock timing, and
-    benchmark-row JSON export for [BENCH_exchange.json].
+(** Observability: per-tgd execution counters and wall-clock timing.
 
     The mutable {!tstats} accumulator is strictly per-run scratch state:
     the engine allocates a fresh one per plan per execution and never
@@ -54,15 +53,3 @@ val pp_shard_view : Format.formatter -> shard_view -> unit
 
 val time : (unit -> 'a) -> 'a * float
 (** [time f] is [(f (), seconds)] by [Unix.gettimeofday]. *)
-
-type bench_row = {
-  br_name : string;
-  br_size : int;
-  br_ns_per_run : float;
-  br_tuples_per_s : float;
-}
-
-val write_bench_json : path:string -> bench_row list -> unit
-(** Write rows as a JSON array of objects with fields [name], [size],
-    [cores] (the host's recommended domain count), [ns_per_run],
-    [tuples_per_s]. *)

@@ -6,8 +6,8 @@ module Instance = Smg_relational.Instance
 module Value = Smg_relational.Value
 module Engine = Smg_exchange.Engine
 
-(* Hand-rolled JSON in the same dependency-free style as
-   Smg_exchange.Obs.write_bench_json. *)
+(* Hand-rolled JSON: the repository takes no JSON library
+   dependency. *)
 
 (* a JSON string literal, escaped straight into [b] *)
 let add_json_str b s =
