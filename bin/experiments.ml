@@ -66,7 +66,8 @@ let all () =
    Every BENCH_<bench>.json this program writes is a JSON array of rows
    with the same twelve keys, in this order: bench, name, unit, size,
    domains, shards, seed, cores, runs, median, min, max. A timing row is
-   in ns and summarises [runs] runs; a count, ratio or rate row holds one
+   in ns and summarises [runs] runs, as robust's overhead row summarises
+   [runs] per-pair ratios; any other count, ratio or rate row holds one
    value ([runs] 1). [size] is the workload's input size (source tuples,
    batch operations or discovery cases), [seed] is null for a workload
    without one, and [cores] is the host's recommended domain count: a
@@ -1023,7 +1024,11 @@ let serve_load json smoke domains clients =
    semantic discovery runs unguarded and under a budget of max_int fuel
    threaded through the Steiner DP and path search: the guarded run
    pays every fuel check and never degrades, so the difference is pure
-   bookkeeping. *)
+   bookkeeping. The two runs alternate in pairs, the order flipping
+   from pair to pair, so drift in the host's speed lands on both sides
+   alike; the overhead is the median of the per-pair ratios. Pairs
+   continue until 2 s have passed in total, at least 100 and at most
+   2000 of them. *)
 
 let robust json smoke =
   let mondial = builtin "Mondial" in
@@ -1040,23 +1045,43 @@ let robust json smoke =
         ignore (Smg_eval.Experiments.run_semantic_bounded ?budget mondial case))
       cases
   in
+  let time budget =
+    Float.round (1e9 *. snd (Smg_exchange.Obs.time (discover budget)))
+  in
   (* a discarded pass first: a process's first ~0.1 s of runs read up
-     to 10% slower while its major heap grows, which would otherwise
-     land on whichever side is measured first *)
+     to 10% slower while its major heap grows *)
   ignore (measure (discover None));
-  let _, u = measure (discover None) in
-  let _, g = measure (discover (Some max_int)) in
-  Fmt.pr "robust: Mondial semantic discovery, %d case(s)@.@."
-    (List.length cases);
-  Fmt.pr "%12s %12s | %8s@." "unguarded ns" "guarded ns" "overhead";
-  Fmt.pr "%12.0f %12.0f | %+7.2f%%@." u.median g.median
-    (100. *. (g.median -. u.median) /. u.median);
+  let rec pairs acc n total =
+    if n >= 2000 || (n >= 100 && total >= 2e9) then acc
+    else
+      let u, g =
+        if n mod 2 = 0 then
+          let u = time None in
+          (u, time (Some max_int))
+        else
+          let g = time (Some max_int) in
+          (time None, g)
+      in
+      pairs ((u, g) :: acc) (n + 1) (total +. u +. g)
+  in
+  let ps = pairs [] 0 0. in
+  let u = spread_of (List.map fst ps) and g = spread_of (List.map snd ps) in
+  let ratio = spread_of (List.map (fun (u, g) -> g /. u) ps) in
+  Fmt.pr "robust: Mondial semantic discovery, %d case(s), %d pairs@.@."
+    (List.length cases) ratio.runs;
+  Fmt.pr "%12s %12s | %8s %8s %8s@." "unguarded ns" "guarded ns" "overhead"
+    "min" "max";
+  Fmt.pr "%12.0f %12.0f | %+7.2f%% %+7.2f%% %+7.2f%%@." u.median g.median
+    (100. *. (ratio.median -. 1.))
+    (100. *. (ratio.min -. 1.))
+    (100. *. (ratio.max -. 1.));
   if json then
     let size = List.length cases in
     write_rows "robust"
       [
         row ~size "discover-unguarded/mondial" "ns" u;
         row ~size "discover-guarded/mondial" "ns" g;
+        row ~size "discover-overhead/mondial" "ratio" ratio;
       ]
 
 let cmd_of name doc f = Cmd.v (Cmd.info name ~doc) Term.(const f $ const ())

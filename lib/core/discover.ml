@@ -494,6 +494,11 @@ let discover_core ctx ~options ~dedup ~source ~target ~corrs =
          accounting depend on the steal schedule. *)
       let sess_strict = Steiner.session src_sctx_strict in
       let sess_lossy = Steiner.session src_sctx_lossy in
+      (* Source CSGs of this task often encode the same query, and every
+         one is paired with the same target CSG: rewrite each distinct
+         (side, query, required tables) once. Rewriting spends no fuel,
+         so the memo cannot change what a budgeted run returns. *)
+      let rewritten = Hashtbl.create 8 in
       let relevant = List.filter (fun l -> List.mem l.l_tnode d2.c_nodes) lifted in
       if relevant = [] || not (Cm_graph.consistent_subgraph target.cmg d2.c_edges)
       then []
@@ -728,16 +733,28 @@ let discover_core ctx ~options ~dedup ~source ~target ~corrs =
                 in
                 let rewrites sd csg required =
                   let q = Encode.query_of_csg sd.cmg csg in
-                  let strict =
-                    Rewrite.rewrite ~cmg:sd.cmg ~schema:sd.schema
-                      ~strees:sd.strees ~required_tables:required q
-                  in
-                  if strict <> [] then strict
-                  else
-                    (* fall back to unconstrained rewritings rather than
-                       losing the candidate altogether *)
-                    Rewrite.rewrite ~cmg:sd.cmg ~schema:sd.schema
-                      ~strees:sd.strees q
+                  let key = (sd == source, q, required) in
+                  match Hashtbl.find_opt rewritten key with
+                  | Some rws -> rws
+                  | None ->
+                      let covers =
+                        Rewrite.covers ~cmg:sd.cmg ~schema:sd.schema
+                          ~strees:sd.strees q
+                      in
+                      let rws =
+                        match
+                          Rewrite.select ~schema:sd.schema
+                            ~required_tables:required covers
+                        with
+                        | [] ->
+                            (* fall back to unconstrained rewritings
+                               rather than losing the candidate
+                               altogether *)
+                            Rewrite.select ~schema:sd.schema covers
+                        | strict -> strict
+                      in
+                      Hashtbl.add rewritten key rws;
+                      rws
                 in
                 let req_s =
                   uniq (List.map (fun l -> fst l.l_corr.Mapping.c_src) covered)

@@ -99,14 +99,21 @@ let logical_relations ?max_atoms schema =
    tree-shaped, so leaf pruning finds the minimal connected sub-join
    containing the required atoms. *)
 let prune_atoms atoms ~required_tables =
-  let required =
-    List.filter_map
-      (fun t ->
-        List.find_opt (fun (a : Atom.t) -> String.equal a.Atom.pred t) atoms)
-      required_tables
-  in
-  let is_required a = List.exists (fun r -> r == a) required in
-  let shares a b =
+  let atoms = Array.of_list atoms in
+  let n = Array.length atoms in
+  let required = Array.make n false in
+  List.iter
+    (fun t ->
+      let rec first i =
+        if i < n then
+          if String.equal atoms.(i).Atom.pred t then required.(i) <- true
+          else first (i + 1)
+      in
+      first 0)
+    required_tables;
+  (* which atoms share a variable, and with how many live atoms each
+     does: removing an atom only lowers its neighbours' counts *)
+  let shares (a : Atom.t) (b : Atom.t) =
     List.exists
       (fun t ->
         match t with
@@ -114,24 +121,30 @@ let prune_atoms atoms ~required_tables =
         | Atom.Cst _ -> false)
       a.Atom.args
   in
-  let rec loop atoms =
-    let removable =
-      List.find_opt
-        (fun (a : Atom.t) ->
-          (not (is_required a))
-          && List.length
-               (List.filter
-                  (fun (b : Atom.t) -> (not (b == a)) && shares a b)
-                  atoms)
-             <= 1
-          && List.length atoms > 1)
-        atoms
-    in
-    match removable with
-    | None -> atoms
-    | Some a -> loop (List.filter (fun b -> not (b == a)) atoms)
+  let adj =
+    Array.init n (fun i ->
+        Array.init n (fun j -> i <> j && shares atoms.(i) atoms.(j)))
   in
-  loop atoms
+  let degree =
+    Array.map (Array.fold_left (fun d s -> if s then d + 1 else d) 0) adj
+  in
+  let alive = Array.make n true in
+  let rec loop live =
+    let rec removable i =
+      if i = n then None
+      else if alive.(i) && (not required.(i)) && degree.(i) <= 1 && live > 1
+      then Some i
+      else removable (i + 1)
+    in
+    match removable 0 with
+    | None -> ()
+    | Some k ->
+        alive.(k) <- false;
+        Array.iteri (fun j s -> if s then degree.(j) <- degree.(j) - 1) adj.(k);
+        loop (live - 1)
+  in
+  loop n;
+  List.filteri (fun i _ -> alive.(i)) (Array.to_list atoms)
 
 let generate ~source ~target ~corrs =
   let src_lrs = logical_relations source in
@@ -139,6 +152,21 @@ let generate ~source ~target ~corrs =
   let tables_of lr =
     List.sort_uniq compare (List.map (fun (a : Atom.t) -> a.Atom.pred) lr.lr_atoms)
   in
+  (* Pruning depends only on the logical relation and the required
+     tables, and most pairs repeat one: memoize it, one memo per side,
+     since both schemas may name a table alike. *)
+  let pruner () =
+    let memo = Hashtbl.create 32 in
+    fun lr required ->
+      let key = (lr.lr_root, required) in
+      match Hashtbl.find_opt memo key with
+      | Some atoms -> atoms
+      | None ->
+          let atoms = prune_atoms lr.lr_atoms ~required_tables:required in
+          Hashtbl.add memo key atoms;
+          atoms
+  in
+  let prune_src = pruner () and prune_tgt = pruner () in
   let candidates =
     List.concat_map
       (fun s_lr ->
@@ -163,8 +191,8 @@ let generate ~source ~target ~corrs =
                 List.sort_uniq compare
                   (List.map (fun c -> fst c.Mapping.c_tgt) covered)
               in
-              let s_atoms = prune_atoms s_lr.lr_atoms ~required_tables:s_required in
-              let t_atoms = prune_atoms t_lr.lr_atoms ~required_tables:t_required in
+              let s_atoms = prune_src s_lr s_required in
+              let t_atoms = prune_tgt t_lr t_required in
               let first_atom atoms table =
                 List.find
                   (fun (a : Atom.t) -> String.equal a.Atom.pred table)

@@ -34,4 +34,28 @@ val rewrite :
     (the correspondence-linked tables of §3.4) — this filter applies
     *before* the maximal-containment pruning, as in the paper's
     elimination order. Atoms whose predicate does not parse as a CM
-    predicate raise [Invalid_argument]. *)
+    predicate raise [Invalid_argument]. It is {!select} applied to
+    {!covers}. *)
+
+type covers
+(** The raw rewritings of one query: every cover of its atoms by view
+    instances, before any filtering. *)
+
+val covers :
+  cmg:Smg_cm.Cm_graph.t ->
+  schema:Smg_relational.Schema.t ->
+  strees:Stree.t list ->
+  ?max_covers:int ->
+  Smg_cq.Query.t ->
+  covers
+(** The search half of {!rewrite}. It does not depend on the required
+    tables, so one search can serve several {!select}s — discovery
+    relaxes a strict selection that keeps nothing. *)
+
+val select :
+  schema:Smg_relational.Schema.t ->
+  ?required_tables:string list ->
+  covers ->
+  result list
+(** The filtering half of {!rewrite}: the required-table filter, key
+    merging, minimization and the maximal-containment pruning. *)

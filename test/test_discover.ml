@@ -274,6 +274,85 @@ let test_side_requires_stree_per_table () =
               (fun st -> st.Smg_semantics.Stree.st_table <> "bookstore")
               Fixtures.Books.source_strees)))
 
+(* ---- discovery byte-parity pins ----------------------------------------- *)
+
+(* MD5 of [mapdisc discover scenarios/FILE --json --dedup], recorded
+   before the rewriting memo and the hoisted cover options: discovery
+   output may not drift. amalgam, hotel and generated_mid reach the
+   rewriting's 800-cover cap; with a cap of 799 the built-in hotel body
+   below changes, so the pins also hold which covers the cap keeps. *)
+let scenario_digests =
+  [
+    ("3sdb.smg", "5d142f9fb3de9b22e290c1adc9b2c125");
+    ("amalgam.smg", "2eaeeda349e3e706b6ff5f02b5b49d12");
+    ("books.smg", "ad246bde48566d2f2a1970271147e81f");
+    ("books_archive.smg", "79cbd749ac584be5eab4e37931056879");
+    ("dblp.smg", "0a4be40f22b622aece555a5341dc5d9f");
+    ("employees.smg", "9027c01a394da605f273f97d626703bd");
+    ("generated_mid.smg", "622e6571cd718287e3b263bad8de7259");
+    ("hotel.smg", "128ea28cfa1a9a50904eeffa2b335562");
+    ("mondial.smg", "d9b7f3da5df0ad824012051f4f2e8ed8");
+    ("network.smg", "c6c3c43dd72770064947a76b30a2c64b");
+    ("ut.smg", "7b2b12606be5b9c644052c2d19fa5020");
+  ]
+
+(* MD5 of the served [POST /scenarios/NAME/discover?dedup=true] body of
+   each preloaded built-in (every correspondence of its cases). *)
+let builtin_digests =
+  [
+    ("3sdb", "e1a02992bfa8481880e2be8fc38ad93a");
+    ("amalgam", "13cca656d5c86bb391d931c73be9691c");
+    ("dblp", "b1e9e45d26f61d586472f45aa3df4e98");
+    ("hotel", "a8aa2c36a2a8c14d1f5afe315717e4e4");
+    ("mondial", "df40a741b75ded8726c961562574a5db");
+    ("network", "4d2479d3cef6c8d798489ff8d9b945c4");
+    ("ut", "952c5e011444a01d9d6444a927f00af4");
+  ]
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let test_scenario_digests () =
+  let committed =
+    let dir =
+      if Sys.file_exists "scenarios" then "scenarios" else "../../../scenarios"
+    in
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".smg")
+    |> List.sort String.compare
+  in
+  Alcotest.(check (list string)) "every committed scenario is pinned"
+    committed (List.map fst scenario_digests);
+  List.iter
+    (fun (file, digest) ->
+      let path = Filename.concat "scenarios" file in
+      let doc =
+        Smg_dsl.Parser.parse_file
+          (if Sys.file_exists path then path else Filename.concat "../../.." path)
+      in
+      match Smg_serve.Registry.sides_of_doc doc with
+      | Error msg -> Alcotest.fail (file ^ ": " ^ msg)
+      | Ok (source, target) ->
+          let out =
+            Smg_serve.Render.discover_json ~meth:`Both ~dedup:true ~file:path
+              ~source ~target ~corrs:doc.Smg_dsl.Ast.doc_corrs ()
+          in
+          Alcotest.(check string) (file ^ " discover body digest") digest
+            (md5 out.Smg_serve.Render.dj_json))
+    scenario_digests
+
+let test_builtin_digests () =
+  let reg = Smg_serve.Registry.create () in
+  Smg_serve.Registry.preload_builtins reg;
+  Alcotest.(check (list string)) "every built-in is pinned"
+    (Smg_serve.Registry.names reg) (List.map fst builtin_digests);
+  List.iter
+    (fun (name, digest) ->
+      let entry = Option.get (Smg_serve.Registry.find reg name) in
+      let out, _ = Smg_serve.Registry.discover reg ~meth:`Both ~dedup:true entry in
+      Alcotest.(check string) (name ^ " served discover body digest") digest
+        (md5 out.Smg_serve.Render.dj_json))
+    builtin_digests
+
 let suite =
   [
     ( "discover",
@@ -295,5 +374,7 @@ let suite =
         Alcotest.test_case "provenance recorded" `Quick test_provenance_recorded;
         Alcotest.test_case "Case B provenance" `Quick test_case_b_provenance;
         Alcotest.test_case "side validation" `Quick test_side_requires_stree_per_table;
+        Alcotest.test_case "scenario discover digests" `Quick test_scenario_digests;
+        Alcotest.test_case "built-in discover digests" `Quick test_builtin_digests;
       ] );
   ]

@@ -107,6 +107,85 @@ let test_isa_case_baseline_splits () =
          List.mem "programmer" ts && List.mem "engineer" ts)
        ms)
 
+let test_pruning_per_side () =
+  (* Both schemas name a table person and a table city, but their RICs
+     differ: the source's person references city, the target's city
+     references person. Each pair prunes its logical relations under
+     the same required tables on both sides, so pruned joins cached by
+     table name alone would hand the target the source's atoms. *)
+  let source =
+    Schema.make ~name:"s"
+      [
+        Schema.table ~key:[ "pid" ] "person"
+          [
+            ("pid", Schema.TString);
+            ("name", Schema.TString);
+            ("city", Schema.TString);
+          ];
+        Schema.table ~key:[ "cid" ] "city"
+          [ ("cid", Schema.TString); ("cname", Schema.TString) ];
+      ]
+      [
+        Schema.ric ~name:"lives" ~from_:("person", [ "city" ])
+          ~to_:("city", [ "cid" ]);
+      ]
+  in
+  let target =
+    Schema.make ~name:"t"
+      [
+        Schema.table ~key:[ "pid" ] "person"
+          [ ("pid", Schema.TString); ("name", Schema.TString) ];
+        Schema.table ~key:[ "cid" ] "city"
+          [
+            ("cid", Schema.TString);
+            ("cname", Schema.TString);
+            ("mayor", Schema.TString);
+          ];
+      ]
+      [
+        Schema.ric ~name:"mayor" ~from_:("city", [ "mayor" ])
+          ~to_:("person", [ "pid" ]);
+      ]
+  in
+  let ms =
+    Baseline.generate ~source ~target
+      ~corrs:
+        [
+          Mapping.corr_of_strings "person.name" "person.name";
+          Mapping.corr_of_strings "city.cname" "city.cname";
+        ]
+  in
+  let term = function
+    | Atom.Var x -> x
+    | Atom.Cst v -> Smg_relational.Value.to_string v
+  in
+  let body (q : Smg_cq.Query.t) =
+    String.concat " ⋈ "
+      (List.map
+         (fun (a : Atom.t) ->
+           a.Atom.pred ^ "(" ^ String.concat ", " (List.map term a.Atom.args) ^ ")")
+         q.Smg_cq.Query.body)
+  in
+  Alcotest.(check (list (triple string string string)))
+    "pruned atoms per side"
+    [
+      ( "ric:city→city",
+        "city(city0_cid, city0_cname)",
+        "city(city0_cid, city0_cname, city0_mayor)" );
+      ( "ric:person→person",
+        "person(person0_pid, person0_name, person0_city)",
+        "person(person0_pid, person0_name)" );
+      ( "ric:person→city",
+        "person(person0_pid, person0_name, person0_city) ⋈ city(person0_city, \
+         city0_cname)",
+        "city(city0_cid, city0_cname, city0_mayor) ⋈ person(city0_mayor, \
+         person0_name)" );
+    ]
+    (List.map
+       (fun (m : Mapping.t) ->
+         (m.Mapping.m_name, body m.Mapping.src_query, body m.Mapping.tgt_query))
+       ms)
+
 let suite =
   [
     ( "ric.baseline",
@@ -117,5 +196,6 @@ let suite =
         Alcotest.test_case "mapping generation (books)" `Quick test_generate_books;
         Alcotest.test_case "join pruning heuristic" `Quick test_join_pruning;
         Alcotest.test_case "ISA case splits" `Quick test_isa_case_baseline_splits;
+        Alcotest.test_case "join pruning per side" `Quick test_pruning_per_side;
       ] );
   ]
