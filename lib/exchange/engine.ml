@@ -23,7 +23,6 @@ module Budget = Smg_robust.Budget
 type store = {
   s_header : string list;
   mutable s_cs : Colstore.t;  (* replaced wholesale by [apply_subst] *)
-  mutable s_delta : int list;  (* row ids new/changed this round, newest first *)
 }
 
 (* Below this live count, a filtered scan beats paying for the hash
@@ -130,7 +129,6 @@ let store_of_instance ~shards header tuples =
   {
     s_header = header;
     s_cs = Colstore.of_flat ~shards ~arity ~rows:n data;
-    s_delta = [];
   }
 
 (* [only pred] gates eager store construction: tables outside the
@@ -157,7 +155,6 @@ let create ~shards ~only ~source ~target inst =
           s_header = header;
           s_cs =
             Colstore.create ~shards ~arity:(max 1 (List.length header)) 16;
-          s_delta = [];
         })
     target.Schema.tables;
   {
@@ -213,7 +210,12 @@ type icell =
   | IcNull of int
   | IcSkolem of string * isk list
 
-type iemit = { ie_pred : string; ie_cells : icell array; ie_scratch : int array }
+type iemit = {
+  ie_pred : string;
+  ie_cells : icell array;
+  ie_scratch : int array;
+  mutable ie_store : store option;  (* [ie_pred]'s target store, once looked up *)
+}
 
 type ikcell =
   | IkSlot of int
@@ -226,12 +228,14 @@ type icheck = {
   ic_cells : ikcell array;
   ic_probe : int array;
   ic_scratch : int array;  (* probe codes, refilled per satisfaction check *)
+  mutable ic_store : store option;  (* [ic_pred]'s target store, once looked up *)
 }
 
-(* The scratch fields ([ic_scratch], [ip_exenv], [ip_trail],
-   [ie_scratch]) are reused across triggers so the hot loops allocate
-   nothing per row; they are touched only by [satisfied]/[fire], which
-   run on the caller domain. *)
+(* The scratch fields ([ic_scratch], [ip_exenv], [ip_trail], [ip_nulls],
+   [ie_scratch]) are reused across triggers, and [ic_store]/[ie_store]
+   spare a table lookup per trigger (a lowered plan serves one engine:
+   {!execute} lowers its plans per call); all are touched only by
+   [satisfied]/[fire], which run on the caller domain. *)
 type iplan = {
   ip_name : string;
   ip_nslots : int;
@@ -241,7 +245,8 @@ type iplan = {
   ip_nnulls : int;
   ip_nex : int;
   ip_exenv : int array;  (* existential wildcard bindings *)
-  ip_trail : int array;  (* wildcards bound by the current check row *)
+  ip_trail : int array;  (* wildcards bound, in binding order *)
+  ip_nulls : int array;  (* the nulls minted for the current trigger *)
 }
 
 let intern_plan (plan : Plan.t) =
@@ -275,6 +280,7 @@ let intern_plan (plan : Plan.t) =
       ie_pred = em.Plan.em_pred;
       ie_cells = Array.map icell em.Plan.em_cells;
       ie_scratch = Array.make (Array.length em.Plan.em_cells) 0;
+      ie_store = None;
     }
   in
   let ikcell = function
@@ -290,6 +296,7 @@ let intern_plan (plan : Plan.t) =
       ic_cells = Array.map ikcell ck.Plan.ck_cells;
       ic_probe = probe;
       ic_scratch = Array.make (Array.length probe) 0;
+      ic_store = None;
     }
   in
   {
@@ -302,64 +309,56 @@ let intern_plan (plan : Plan.t) =
     ip_nex = plan.Plan.p_nex;
     ip_exenv = Array.make (max plan.Plan.p_nex 1) 0;
     ip_trail = Array.make (max plan.Plan.p_nex 1) 0;
+    ip_nulls = Array.make (max plan.Plan.p_nnulls 1) 0;
   }
 
-(* ---- probing ------------------------------------------------------------ *)
+(* ---- probing ------------------------------------------------------------
 
-(* Candidate rows whose [cols] cells equal [codes], passed to [f] in
-   bucket (or arena) order; [f] returns [true] to stop the walk. The
-   walk follows the index's bucket chain in place (no candidate list is
-   built). A bucket may hold rows with other cell values, and rows
-   tombstoned since the last relink, so every candidate is re-verified
-   here by int compare before reaching [f]. [tick] runs per candidate
-   considered (budget accounting: one tick per bucket tuple). Returns
-   whether any candidate matched. [cache = false] guarantees the probe
-   never mutates the store: required by the parallel scan phase, where
-   worker domains probe concurrently and only pre-built indexes may be
-   used. *)
-let probe_iter ?(cache = true) st (cols : int array) (codes : int array) ~tick
-    ~f =
-  let cs = st.s_cs in
-  let data = Colstore.data cs in
-  let ar = Colstore.arity cs in
-  let check_dead = Colstore.dead cs > 0 in
+   A probe walks the candidate rows whose [cols] cells may equal
+   [codes]: the chain of a built index ({!Colstore.first}/{!Colstore.next}),
+   or, with no index, every arena row in order. A chain mixes keys and
+   keeps rows tombstoned since the last relink, so each candidate is
+   re-verified by int compare ([row_matches]). The kernels below are
+   top-level functions over explicit arguments, walking in [while]
+   loops: no closure, ref cell or option is allocated per row. *)
+
+(* The index a probe on [cols] walks: the built one; else, with [cache]
+   and at least [index_threshold] live rows, a new one; else
+   {!Colstore.no_index}, a filtered scan. [cache = false] never mutates
+   the store: the parallel scan phase probes from worker domains, where
+   only pre-built indexes may be used. *)
+let probe_index ~cache cs cols =
+  let ix = Colstore.find_index cs cols in
+  if ix != Colstore.no_index || (not cache) || Colstore.count cs < index_threshold
+  then ix
+  else Colstore.ensure_index cs cols
+
+(* the walk's first candidate and the one after [row]; [-1] ends it *)
+let first_candidate ix n codes =
+  if ix != Colstore.no_index then Colstore.first ix codes
+  else if n > 0 then 0
+  else -1
+
+let next_candidate ix n row =
+  if ix != Colstore.no_index then Colstore.next ix row
+  else if row + 1 < n then row + 1
+  else -1
+
+(* live, and holding [codes] at [cols] *)
+let row_matches cs data ar (cols : int array) (codes : int array) row =
+  (Colstore.dead cs = 0 || Colstore.is_live cs row)
+  &&
+  let base = row * ar in
   let ncols = Array.length cols in
-  let hit = ref false in
-  (* true when [f] stops the walk *)
-  let consider row =
-    tick ();
-    ((not check_dead) || Colstore.is_live cs row)
-    &&
-    let base = row * ar in
-    let i = ref 0 in
-    while
-      !i < ncols
-      && Array.unsafe_get data (base + Array.unsafe_get cols !i)
-         = Array.unsafe_get codes !i
-    do
-      incr i
-    done;
-    !i = ncols
-    &&
-    (hit := true;
-     f row)
-  in
-  let rec walk ix row =
-    if row >= 0 && not (consider row) then walk ix (Colstore.next ix row)
-  in
-  let probe ix = walk ix (Colstore.first ix codes) in
-  (match Colstore.find_index cs cols with
-  | Some ix -> probe ix
-  | None ->
-      if (not cache) || Colstore.count cs < index_threshold then begin
-        let n = Colstore.rows cs in
-        let rec scan row =
-          if row < n && not (consider row) then scan (row + 1)
-        in
-        scan 0
-      end
-      else probe (Colstore.ensure_index cs cols));
-  !hit
+  let i = ref 0 in
+  while
+    !i < ncols
+    && Array.unsafe_get data (base + Array.unsafe_get cols !i)
+       = Array.unsafe_get codes !i
+  do
+    incr i
+  done;
+  !i = ncols
 
 (* ---- satisfaction check ------------------------------------------------- *)
 
@@ -368,7 +367,8 @@ let probe_iter ?(cache = true) st (cols : int array) (codes : int array) ~tick
    one labelled null per ground term across engines and the verifier's
    chase — then caches its code keyed by the interned argument codes,
    so recurrences never render the term string again. Caller-domain
-   only, like null minting. *)
+   only, like null minting. The memo key is built per call: Skolem
+   cells allocate. *)
 let rec skolem_app memo f codes =
   match Hashtbl.find_opt memo (f, codes) with
   | Some c -> c
@@ -391,101 +391,130 @@ let skolem_cell_code memo env f args =
 (* no interned code is [min_int]: free sentinel for unbound wildcards *)
 let unbound = min_int
 
+(* unbind the wildcards pushed on the trail above height [t0] *)
+let unwind (ip : iplan) t0 tn =
+  for t = tn - 1 downto t0 do
+    ip.ip_exenv.(ip.ip_trail.(t)) <- unbound
+  done
+
+(* a probe position's code: statically known to be bound *)
+let probe_code e (ip : iplan) env = function
+  | IkSlot s -> env.(s)
+  | IkConst c -> c
+  | IkSkolem (f, args) -> skolem_cell_code e.e_skmemo env f args
+  | IkEx x ->
+      assert (ip.ip_exenv.(x) <> unbound);
+      ip.ip_exenv.(x)
+
+(* Match check [ck]'s cells from [pos] against the row at [base]: bound
+   wildcards must agree, unbound ones are bound and pushed on the trail
+   at height [tn]. The new trail height, or [-1] once the bindings this
+   row made (those above [t0]) are undone. *)
+let rec match_cells e (ip : iplan) env ck data base pos t0 tn =
+  if pos = Array.length ck.ic_cells then tn
+  else
+    let v = Array.unsafe_get data (base + pos) in
+    match Array.unsafe_get ck.ic_cells pos with
+    | IkSlot s ->
+        if v = env.(s) then match_cells e ip env ck data base (pos + 1) t0 tn
+        else mismatch ip t0 tn
+    | IkConst c ->
+        if v = c then match_cells e ip env ck data base (pos + 1) t0 tn
+        else mismatch ip t0 tn
+    | IkSkolem (f, args) ->
+        if v = skolem_cell_code e.e_skmemo env f args then
+          match_cells e ip env ck data base (pos + 1) t0 tn
+        else mismatch ip t0 tn
+    | IkEx x ->
+        let b = ip.ip_exenv.(x) in
+        if b = unbound then begin
+          ip.ip_exenv.(x) <- v;
+          ip.ip_trail.(tn) <- x;
+          match_cells e ip env ck data base (pos + 1) t0 (tn + 1)
+        end
+        else if v = b then match_cells e ip env ck data base (pos + 1) t0 tn
+        else mismatch ip t0 tn
+
+and mismatch ip t0 tn =
+  unwind ip t0 tn;
+  -1
+
 (* Restricted-chase trigger test: does some assignment of the
    existential wildcards extend [env] so every rhs atom is present?
    Skolem cells are computed from [env], not wildcarded. Backtracking
-   over the check templates; each template probes the target store on
-   its statically-known positions. *)
-let satisfied ?(cache = true) e (ip : iplan) (env : int array)
-    (stats : Obs.tstats) =
-  let exenv = ip.ip_exenv and trail = ip.ip_trail in
-  Array.fill exenv 0 (Array.length exenv) unbound;
-  let tn = ref 0 in
-  let cell_code cell =
-    match cell with
-    | IkSlot s -> env.(s)
-    | IkConst c -> c
-    | IkSkolem (f, args) -> skolem_cell_code e.e_skmemo env f args
-    | IkEx x ->
-        (* probe positions are statically known to be bound *)
-        assert (exenv.(x) <> unbound);
-        exenv.(x)
+   over the check templates from [ci], with [tn] wildcards on the trail;
+   each template probes the target store on its statically-known
+   positions. *)
+let rec checks_from e (ip : iplan) env stats ci tn =
+  ci = Array.length ip.ip_checks || check_at e ip env stats ci tn
+
+and check_at e (ip : iplan) env (stats : Obs.tstats) ci tn =
+  let ck = ip.ip_checks.(ci) in
+  let cs =
+    match ck.ic_store with
+    | Some st -> st.s_cs
+    | None ->
+        let st = Hashtbl.find e.e_tgt ck.ic_pred in
+        ck.ic_store <- Some st;
+        st.s_cs
   in
-  let nchecks = Array.length ip.ip_checks in
-  let rec go ci =
-    ci = nchecks
-    ||
-    let ck = ip.ip_checks.(ci) in
-    let st = Hashtbl.find e.e_tgt ck.ic_pred in
-    let cs = st.s_cs in
-    let data = Colstore.data cs in
-    let ar = Colstore.arity cs in
-    let ncells = Array.length ck.ic_cells in
-    let try_row row =
-      let base = row * ar in
-      let t0 = !tn in
-      let rec cells pos =
-        pos = ncells
-        ||
-        let v = Array.unsafe_get data (base + pos) in
-        (match ck.ic_cells.(pos) with
-        | IkSlot s -> v = env.(s)
-        | IkConst c -> v = c
-        | IkSkolem (f, args) -> v = skolem_cell_code e.e_skmemo env f args
-        | IkEx x ->
-            if exenv.(x) <> unbound then v = exenv.(x)
-            else begin
-              exenv.(x) <- v;
-              trail.(!tn) <- x;
-              incr tn;
-              true
-            end)
-        && cells (pos + 1)
-      in
-      if cells 0 && go (ci + 1) then true
-      else begin
-        (* unwind this row's wildcard bindings *)
-        while !tn > t0 do
-          decr tn;
-          exenv.(trail.(!tn)) <- unbound
-        done;
-        false
-      end
-    in
-    if Array.length ck.ic_probe = 0 then begin
-      let check_dead = Colstore.dead cs > 0 in
-      let found = ref false in
-      let row = ref 0 in
-      let n = Colstore.rows cs in
-      while (not !found) && !row < n do
-        if ((not check_dead) || Colstore.is_live cs !row) && try_row !row then
-          found := true;
-        incr row
-      done;
-      !found
-    end
-    else begin
-      stats.Obs.st_probes <- stats.Obs.st_probes + 1;
-      let codes = ck.ic_scratch in
-      Array.iteri
-        (fun j p -> codes.(j) <- cell_code ck.ic_cells.(p))
-        ck.ic_probe;
-      let found = ref false in
-      let hit =
-        probe_iter ~cache st ck.ic_probe codes
-          ~tick:(fun () -> ())
-          ~f:(fun row ->
-            found := try_row row;
-            !found)
-      in
-      if hit then stats.Obs.st_hits <- stats.Obs.st_hits + 1
-      else stats.Obs.st_misses <- stats.Obs.st_misses + 1;
-      !found
-    end
-  in
-  go 0
+  let data = Colstore.data cs in
+  let ar = Colstore.arity cs in
+  let n = Colstore.rows cs in
+  let nprobe = Array.length ck.ic_probe in
+  let found = ref false in
+  if nprobe = 0 then begin
+    let row = ref 0 in
+    while (not !found) && !row < n do
+      if
+        (Colstore.dead cs = 0 || Colstore.is_live cs !row)
+        && row_extends e ip env stats ck data ar ci tn !row
+      then found := true;
+      incr row
+    done
+  end
+  else begin
+    stats.Obs.st_probes <- stats.Obs.st_probes + 1;
+    let codes = ck.ic_scratch in
+    for j = 0 to nprobe - 1 do
+      codes.(j) <- probe_code e ip env ck.ic_cells.(ck.ic_probe.(j))
+    done;
+    let ix = probe_index ~cache:true cs ck.ic_probe in
+    let row = ref (first_candidate ix n codes) and hit = ref false in
+    while (not !found) && !row >= 0 do
+      if row_matches cs data ar ck.ic_probe codes !row then begin
+        hit := true;
+        if row_extends e ip env stats ck data ar ci tn !row then found := true
+      end;
+      if not !found then row := next_candidate ix n !row
+    done;
+    if !hit then stats.Obs.st_hits <- stats.Obs.st_hits + 1
+    else stats.Obs.st_misses <- stats.Obs.st_misses + 1
+  end;
+  !found
+
+(* the row matches check [ci] and the later checks can be met too;
+   otherwise every binding it made is undone *)
+and row_extends e ip env stats ck data ar ci tn row =
+  let tn' = match_cells e ip env ck data (row * ar) 0 tn tn in
+  tn' >= 0
+  && (checks_from e ip env stats (ci + 1) tn'
+     || begin
+          unwind ip tn tn';
+          false
+        end)
+
+let satisfied e (ip : iplan) env stats =
+  Array.fill ip.ip_exenv 0 (Array.length ip.ip_exenv) unbound;
+  checks_from e ip env stats 0 0
 
 (* ---- firing ------------------------------------------------------------- *)
+
+let emit_code memo nulls env = function
+  | IcSlot s -> env.(s)
+  | IcConst c -> c
+  | IcNull k -> nulls.(k)
+  | IcSkolem (f, args) -> skolem_cell_code memo env f args
 
 let fire ?budget e (ip : iplan) env (stats : Obs.tstats) =
   stats.Obs.st_checks <- stats.Obs.st_checks + 1;
@@ -497,37 +526,78 @@ let fire ?budget e (ip : iplan) env (stats : Obs.tstats) =
     (match budget with
     | Some b when ip.ip_nnulls > 0 -> Budget.burn_exn b ip.ip_nnulls
     | Some _ | None -> ());
-    let nulls = Array.init ip.ip_nnulls (fun _ -> mint_null_code e) in
+    let nulls = ip.ip_nulls in
+    for k = 0 to ip.ip_nnulls - 1 do
+      nulls.(k) <- mint_null_code e
+    done;
     stats.Obs.st_nulls <- stats.Obs.st_nulls + ip.ip_nnulls;
-    Array.iter
-      (fun em ->
-        let tup = em.ie_scratch in
-        Array.iteri
-          (fun i cell ->
-            tup.(i) <-
-              (match cell with
-              | IcSlot s -> env.(s)
-              | IcConst c -> c
-              | IcNull k -> nulls.(k)
-              | IcSkolem (f, args) -> skolem_cell_code e.e_skmemo env f args))
-          em.ie_cells;
-        let st = Hashtbl.find e.e_tgt em.ie_pred in
-        match Colstore.insert st.s_cs tup with
-        | Some row ->
-            st.s_delta <- row :: st.s_delta;
-            stats.Obs.st_emitted <- stats.Obs.st_emitted + 1
-        | None -> ())
-      ip.ip_emits
+    for k = 0 to Array.length ip.ip_emits - 1 do
+      let em = ip.ip_emits.(k) in
+      let tup = em.ie_scratch in
+      for i = 0 to Array.length em.ie_cells - 1 do
+        tup.(i) <- emit_code e.e_skmemo nulls env em.ie_cells.(i)
+      done;
+      let st =
+        match em.ie_store with
+        | Some st -> st
+        | None ->
+            let st = Hashtbl.find e.e_tgt em.ie_pred in
+            em.ie_store <- Some st;
+            st
+      in
+      match Colstore.insert st.s_cs tup with
+      | Some _ -> stats.Obs.st_emitted <- stats.Obs.st_emitted + 1
+      | None -> ()
+    done
   end
 
 (* ---- plan evaluation ---------------------------------------------------- *)
+
+let tick = function Some b -> Budget.tick_exn b | None -> ()
+let bval env = function IbSlot s -> env.(s) | IbConst c -> c
+
+let selfeqs_ok (selfeqs : (int * int) array) (data : int array) base =
+  let ok = ref true in
+  for j = 0 to Array.length selfeqs - 1 do
+    let pos, p0 = selfeqs.(j) in
+    if data.(base + pos) <> data.(base + p0) then ok := false
+  done;
+  !ok
+
+let bind env (binds : (int * int) array) (data : int array) base =
+  for j = 0 to Array.length binds - 1 do
+    let pos, s = binds.(j) in
+    env.(s) <- data.(base + pos)
+  done
+
+(* the scan's eq constraints hold on the row at [base] *)
+let eqs_ok env (eqs : (int * ibind) array) (data : int array) base =
+  let ok = ref true in
+  for j = 0 to Array.length eqs - 1 do
+    let pos, b = eqs.(j) in
+    if data.(base + pos) <> bval env b then ok := false
+  done;
+  !ok
+
+(* scan step [i] over the delta's coded tuples *)
+let rec scan_delta step budget env sc i (stats : Obs.tstats) = function
+  | [] -> ()
+  | cells :: rest ->
+      tick budget;
+      stats.Obs.st_scanned <- stats.Obs.st_scanned + 1;
+      if eqs_ok env sc.is_eqs cells 0 && selfeqs_ok sc.is_selfeqs cells 0 then begin
+        bind env sc.is_binds cells 0;
+        step (i + 1)
+      end;
+      scan_delta step budget env sc i stats rest
 
 (* [delta]: when [Some (i, rows)], scan step [i] iterates only the given
    coded tuples — the semi-naive restriction (egd re-fires, lib/delta
    batches). [range]: restrict scan 0 to arena rows [lo, hi) — how the
    parallel pass hands each worker a contiguous driving chunk. [src]
    maps a predicate to its store. [sink] consumes each completed
-   binding; the env array is reused across bindings. *)
+   binding; the env array is reused across bindings. Per row, the scan
+   levels allocate nothing. *)
 let enumerate_int ~src ?budget ?(cache = true) (ip : iplan)
     ?(delta : (int * int array list) option) ?range (stats : Obs.tstats) ~sink
     =
@@ -541,94 +611,43 @@ let enumerate_int ~src ?budget ?(cache = true) (ip : iplan)
       (fun (sc : iscan) -> Array.make (Array.length sc.is_eqs) 0)
       ip.ip_scans
   in
-  let tick () =
-    match budget with Some b -> Budget.tick_exn b | None -> ()
-  in
-  let bval b = match b with IbSlot s -> env.(s) | IbConst c -> c in
+  let delta_at = match delta with Some (j, _) -> j | None -> -1 in
+  let delta_rows = match delta with Some (_, ts) -> ts | None -> [] in
   let rec step i =
     if i = nscans then sink env
     else begin
       let sc = ip.ip_scans.(i) in
-      let use_delta = match delta with Some (j, _) -> j = i | None -> false in
-      if use_delta then begin
-        let rows = match delta with Some (_, ts) -> ts | None -> [] in
-        let neqs = Array.length sc.is_eqs in
-        let nself = Array.length sc.is_selfeqs in
-        List.iter
-          (fun (cells : int array) ->
-            tick ();
-            stats.Obs.st_scanned <- stats.Obs.st_scanned + 1;
-            let ok = ref true in
-            for j = 0 to neqs - 1 do
-              let pos, b = sc.is_eqs.(j) in
-              if cells.(pos) <> bval b then ok := false
-            done;
-            for j = 0 to nself - 1 do
-              let pos, p0 = sc.is_selfeqs.(j) in
-              if cells.(pos) <> cells.(p0) then ok := false
-            done;
-            if !ok then begin
-              Array.iter (fun (pos, s) -> env.(s) <- cells.(pos)) sc.is_binds;
-              step (i + 1)
-            end)
-          rows
-      end
+      if i = delta_at then scan_delta step budget env sc i stats delta_rows
       else begin
-        let st = src sc.is_pred in
-        let cs = st.s_cs in
+        let cs = (src sc.is_pred).s_cs in
         let data = Colstore.data cs in
         let ar = Colstore.arity cs in
-        let nself = Array.length sc.is_selfeqs in
-        let selfeqs_ok base =
-          let ok = ref true in
-          for j = 0 to nself - 1 do
-            let pos, p0 = sc.is_selfeqs.(j) in
-            if
-              Array.unsafe_get data (base + pos)
-              <> Array.unsafe_get data (base + p0)
-            then ok := false
-          done;
-          !ok
-        in
-        let bind base =
-          Array.iter
-            (fun (pos, s) -> env.(s) <- Array.unsafe_get data (base + pos))
-            sc.is_binds
-        in
         if i = 0 && range <> None then begin
           (* chunked driving scan: verify eq constraints inline (at scan
              0 they can only be constants) instead of probing, so the
              row range is respected *)
           let lo, hi = match range with Some r -> r | None -> (0, 0) in
-          let check_dead = Colstore.dead cs > 0 in
-          let neqs = Array.length sc.is_eqs in
           for row = lo to hi - 1 do
-            tick ();
+            tick budget;
             stats.Obs.st_scanned <- stats.Obs.st_scanned + 1;
-            if (not check_dead) || Colstore.is_live cs row then begin
+            if Colstore.dead cs = 0 || Colstore.is_live cs row then begin
               let base = row * ar in
-              let ok = ref true in
-              for j = 0 to neqs - 1 do
-                let pos, b = sc.is_eqs.(j) in
-                if Array.unsafe_get data (base + pos) <> bval b then
-                  ok := false
-              done;
-              if !ok && selfeqs_ok base then begin
-                bind base;
+              if eqs_ok env sc.is_eqs data base && selfeqs_ok sc.is_selfeqs data base
+              then begin
+                bind env sc.is_binds data base;
                 step (i + 1)
               end
             end
           done
         end
         else if Array.length sc.is_eqs = 0 then begin
-          let check_dead = Colstore.dead cs > 0 in
           for row = 0 to Colstore.rows cs - 1 do
-            tick ();
+            tick budget;
             stats.Obs.st_scanned <- stats.Obs.st_scanned + 1;
-            if (not check_dead) || Colstore.is_live cs row then begin
+            if Colstore.dead cs = 0 || Colstore.is_live cs row then begin
               let base = row * ar in
-              if selfeqs_ok base then begin
-                bind base;
+              if selfeqs_ok sc.is_selfeqs data base then begin
+                bind env sc.is_binds data base;
                 step (i + 1)
               end
             end
@@ -637,17 +656,25 @@ let enumerate_int ~src ?budget ?(cache = true) (ip : iplan)
         else begin
           stats.Obs.st_probes <- stats.Obs.st_probes + 1;
           let codes = codes_scratch.(i) in
-          Array.iteri (fun j (_, b) -> codes.(j) <- bval b) sc.is_eqs;
-          let hit =
-            probe_iter ~cache st sc.is_cols codes ~tick ~f:(fun row ->
-                let base = row * ar in
-                if selfeqs_ok base then begin
-                  bind base;
-                  step (i + 1)
-                end;
-                false)
-          in
-          if hit then stats.Obs.st_hits <- stats.Obs.st_hits + 1
+          for j = 0 to Array.length sc.is_eqs - 1 do
+            codes.(j) <- bval env (snd sc.is_eqs.(j))
+          done;
+          let ix = probe_index ~cache cs sc.is_cols in
+          let n = Colstore.rows cs in
+          let row = ref (first_candidate ix n codes) and hit = ref false in
+          while !row >= 0 do
+            tick budget;
+            if row_matches cs data ar sc.is_cols codes !row then begin
+              hit := true;
+              let base = !row * ar in
+              if selfeqs_ok sc.is_selfeqs data base then begin
+                bind env sc.is_binds data base;
+                step (i + 1)
+              end
+            end;
+            row := next_candidate ix n !row
+          done;
+          if !hit then stats.Obs.st_hits <- stats.Obs.st_hits + 1
           else stats.Obs.st_misses <- stats.Obs.st_misses + 1
         end
       end
@@ -655,14 +682,9 @@ let enumerate_int ~src ?budget ?(cache = true) (ip : iplan)
   in
   if nscans > 0 then step 0
 
-let eval_plan ?budget ?(cache = true) ?sink e (ip : iplan) ?delta
-    (stats : Obs.tstats) =
-  let sink =
-    match sink with
-    | Some f -> f
-    | None -> fun env -> fire ?budget e ip env stats
-  in
-  enumerate_int ~src:(src_store e) ?budget ~cache ip ?delta stats ~sink
+let eval_plan ?budget e (ip : iplan) ?delta (stats : Obs.tstats) =
+  enumerate_int ~src:(src_store e) ?budget ip ?delta stats ~sink:(fun env ->
+      fire ?budget e ip env stats)
 
 (* ---- parallel initial pass ---------------------------------------------- *)
 
@@ -763,54 +785,9 @@ let eval_plan_parallel pool ?budget e (ip : iplan) (stats : Obs.tstats) =
 
 (* ---- key-egd pass ------------------------------------------------------- *)
 
-(* The key egds' substitution, null code -> code: open addressing with
-   linear probing over flat int arrays. Keys are null codes, all
-   negative, so [0] marks an empty slot. No key ever maps to itself. *)
-module Subst = struct
-  type t = {
-    mutable keys : int array;
-    mutable vals : int array;
-    mutable size : int;
-  }
-
-  let create () = { keys = Array.make 16 0; vals = Array.make 16 0; size = 0 }
-
-  (* the slot holding [k], or the empty slot where it belongs *)
-  let slot t k =
-    let mask = Array.length t.keys - 1 in
-    let i = ref (Colstore.spread k land mask) in
-    while
-      let x = Array.unsafe_get t.keys !i in
-      x <> 0 && x <> k
-    do
-      i := (!i + 1) land mask
-    done;
-    !i
-
-  (* [k]'s binding, or [k] itself when unbound *)
-  let find t k =
-    if t.size = 0 then k
-    else
-      let i = slot t k in
-      if Array.unsafe_get t.keys i = 0 then k else Array.unsafe_get t.vals i
-
-  let rec replace t k v =
-    let i = slot t k in
-    if t.keys.(i) <> 0 then t.vals.(i) <- v
-    else if (t.size + 1) * 2 > Array.length t.keys then begin
-      let keys = t.keys and vals = t.vals in
-      t.keys <- Array.make (2 * Array.length keys) 0;
-      t.vals <- Array.make (2 * Array.length keys) 0;
-      t.size <- 0;
-      Array.iteri (fun j x -> if x <> 0 then replace t x vals.(j)) keys;
-      replace t k v
-    end
-    else begin
-      t.keys.(i) <- k;
-      t.vals.(i) <- v;
-      t.size <- t.size + 1
-    end
-end
+(* The key egds' substitution, null code -> code. No key ever maps to
+   itself. *)
+module Subst = Smg_relational.Inttbl
 
 type egd_result =
   | EgdConflict of string
@@ -827,11 +804,11 @@ type egd_result =
    collision can never conflate two groups. Nothing is allocated per
    row. Cascades are caught by the next round's pass. *)
 let egd_pass e =
-  let subst = Subst.create () in
+  let subst = Subst.create 0 in
   let rec resolve c =
     if c >= 0 then c
     else
-      let c' = Subst.find subst c in
+      let c' = Subst.find subst c c in
       if c' = c then c
       else
         let r = resolve c' in
@@ -936,18 +913,20 @@ let egd_pass e =
 
 (* Rewrite every store (source AND target) through the substitution by
    rebuilding its arena: resolved live rows re-insert in arena order
-   (dedup through the fresh membership shards), changed rows become the
-   store's delta for semi-naive re-firing, and cached indexes are
+   (dedup through the fresh membership shards), and cached indexes are
    dropped (rebuilt lazily). Rebuilt stores are always tracked — this
-   is where source stores pay for membership. *)
+   is where source stores pay for membership. Returns each source
+   relation's changed rows, coded, in arena order: the deltas that
+   semi-naive re-firing scans. Target changes are not collected, since
+   no plan scans a target relation. *)
 let apply_subst e subst =
   let rec resolve c =
     if c >= 0 then c
     else
-      let c' = Subst.find subst c in
+      let c' = Subst.find subst c c in
       if c' = c then c else resolve c'
   in
-  let rewrite _name st =
+  let rewrite deltas name st =
     let cs = st.s_cs in
     let ar = Colstore.arity cs in
     let data = Colstore.data cs in
@@ -967,17 +946,17 @@ let apply_subst e subst =
           scratch.(j) <- r
         done;
         match Colstore.insert ncs scratch with
-        | Some nrow -> if !touched then delta := nrow :: !delta
-        | None -> ());
+        | Some _ when !touched -> delta := Array.copy scratch :: !delta
+        | Some _ | None -> ());
     st.s_cs <- ncs;
-    st.s_delta <- !delta
+    match deltas with
+    | Some tbl when !delta <> [] -> Hashtbl.replace tbl name (List.rev !delta)
+    | Some _ | None -> ()
   in
-  Hashtbl.iter rewrite e.e_src;
-  Hashtbl.iter rewrite e.e_tgt
-
-let clear_deltas e =
-  Hashtbl.iter (fun _ st -> st.s_delta <- []) e.e_src;
-  Hashtbl.iter (fun _ st -> st.s_delta <- []) e.e_tgt
+  let deltas = Hashtbl.create 8 in
+  Hashtbl.iter (rewrite (Some deltas)) e.e_src;
+  Hashtbl.iter (rewrite None) e.e_tgt;
+  deltas
 
 (* ---- driver ------------------------------------------------------------- *)
 
@@ -993,7 +972,11 @@ type report = {
 }
 
 let decode_row data ar base =
-  Array.init ar (fun i -> Intern.value data.(base + i))
+  let tup = Array.make ar (Intern.value data.(base)) in
+  for i = 1 to ar - 1 do
+    tup.(i) <- Intern.value data.(base + i)
+  done;
+  tup
 
 let target_instance e =
   Hashtbl.fold
@@ -1190,7 +1173,6 @@ let execute ?budget ?fault ?pool ?shards ?(max_rounds = 100) compiled inst =
            in
            st.Obs.st_seconds <- st.Obs.st_seconds +. dt)
          iplans stats;
-       clear_deltas e;
        let continue_ = ref true in
        while !continue_ && !failed = None do
          match egd_pass e with
@@ -1198,7 +1180,7 @@ let execute ?budget ?fault ?pool ?shards ?(max_rounds = 100) compiled inst =
          | EgdSubst (_, 0) -> continue_ := false
          | EgdSubst (subst, n) ->
              egd_merges := !egd_merges + n;
-             apply_subst e subst;
+             let deltas = apply_subst e subst in
              incr rounds;
              if !rounds > max_rounds then begin
                complete := false;
@@ -1207,14 +1189,6 @@ let execute ?budget ?fault ?pool ?shards ?(max_rounds = 100) compiled inst =
              else begin
                (* semi-naive: re-fire each plan only through scan steps
                   whose relation has changed tuples *)
-               let deltas = Hashtbl.create 8 in
-               Hashtbl.iter
-                 (fun name st ->
-                   if st.s_delta <> [] then
-                     Hashtbl.replace deltas name
-                       (List.rev_map (Colstore.row_cells st.s_cs) st.s_delta))
-                 e.e_src;
-               clear_deltas e;
                List.iter2
                  (fun (ip : iplan) (_, st) ->
                    step ();
@@ -1229,8 +1203,7 @@ let execute ?budget ?fault ?pool ?shards ?(max_rounds = 100) compiled inst =
                            ip.ip_scans)
                    in
                    st.Obs.st_seconds <- st.Obs.st_seconds +. dt)
-                 iplans stats;
-               clear_deltas e
+                 iplans stats
              end
        done
      with Budget.Exhausted reason ->
@@ -1296,7 +1269,7 @@ module Stores = struct
     List.iter
       (fun tup -> ignore (Colstore.insert cs (Intern.code_tuple tup)))
       tuples;
-    { s_header = header; s_cs = cs; s_delta = [] }
+    { s_header = header; s_cs = cs }
 
   let header st = st.s_header
 
@@ -1387,15 +1360,11 @@ let enumerate ~src ?budget ?delta ip stats ~sink =
 let emit_cells memo (ip : iplan) k env =
   let em = ip.ip_emits.(k) in
   let tup = em.ie_scratch in
-  Array.iteri
-    (fun i cell ->
-      tup.(i) <-
-        (match cell with
-        | IcSlot s -> env.(s)
-        | IcConst c -> c
-        | IcSkolem (f, args) -> skolem_cell_code memo env f args
-        | IcNull _ -> invalid_arg "Engine.emit_cells: anonymous null"))
-    em.ie_cells;
+  for i = 0 to Array.length em.ie_cells - 1 do
+    match em.ie_cells.(i) with
+    | IcNull _ -> invalid_arg "Engine.emit_cells: anonymous null"
+    | cell -> tup.(i) <- emit_code memo [||] env cell
+  done;
   tup
 
 let pp_report ppf r =

@@ -4,6 +4,7 @@ module Atom = Smg_cq.Atom
 module Query = Smg_cq.Query
 module Dependency = Smg_cq.Dependency
 module Chase = Smg_cq.Chase
+module Inttbl = Smg_relational.Inttbl
 
 (* Variables a tgd "exports": universal variables that occur on the
    right-hand side, plus the arguments of every Skolem term there
@@ -92,208 +93,274 @@ let prepare tgds =
    counts are never decremented. Condition (ii) is tested first,
    because it is local and nearly always fails at once. A subsuming
    [t'] must agree on [t]'s non-null cells (a null there could not
-   equal [t]'s constant), so its null positions are a subset of [t]'s:
-   either [t'] has [t]'s null positions and constants — one probe of a
-   table that hashes the cells with every null as one wildcard — or it
-   lies in a group with strictly fewer null positions. The global null
+   equal [t]'s constant), so its null positions are a subset of [t]'s
+   and it holds [t]'s constants there: it is found by probing indexes
+   on [t]'s constant positions (see [sweep_relation]). The global null
    counts behind (i) are built only when the first tuple passes (ii). *)
 
 type coded = { arity : int; data : int array; rows : int array }
 
-module Codes = Hashtbl.Make (Int)
-
-(* the FNV mix of {!Smg_relational.Colstore.hash_cells} *)
+(* the FNV mix of {!Smg_relational.Colstore.hash_cells}, spread before
+   masking as Colstore's own tables are *)
 let fnv_offset = 0x1435cb3777f7f
 let fnv_prime = 0x100000001b3
+let spread = Smg_relational.Colstore.spread
+
+let table_size n =
+  let c = ref 16 in
+  while !c < 2 * n do
+    c := 2 * !c
+  done;
+  !c
+
+(* The sweep's tables are flat int arrays with open addressing and
+   linear probing ({!Smg_relational.Inttbl} and the group, pair and
+   [seen] tables below): per row they allocate nothing. *)
+
+(* null code -> occurrences over every swept row, sized from the null
+   cells so it never grows *)
+let null_counts rels =
+  let nulls = ref 0 in
+  List.iter
+    (fun { arity; data; rows } ->
+      Array.iter
+        (fun row ->
+          for p = row * arity to ((row + 1) * arity) - 1 do
+            if data.(p) < 0 then incr nulls
+          done)
+        rows)
+    rels;
+  let t = Inttbl.create !nulls in
+  List.iter
+    (fun { arity; data; rows } ->
+      Array.iter
+        (fun row ->
+          for p = row * arity to ((row + 1) * arity) - 1 do
+            let x = data.(p) in
+            if x < 0 then Inttbl.replace t x (Inttbl.find t x 0 + 1)
+          done)
+        rows)
+    rels;
+  t
+
+(* The rows of one relation sharing a null mask (the set of positions
+   holding a null) form a group. A row [j] can subsume a row [k] only if
+   [j]'s mask is within [k]'s and [j] holds [k]'s constants, so [k]'s
+   candidates are found by probing, in [k]'s group and in each group
+   with a strictly smaller mask, an index on [k]'s constant positions.
+   Those indexes are built lazily, once per (group, candidate group)
+   pair, and dropped after the group's last row: each costs the
+   candidate group's size, so a relation of ground and one-null rows is
+   swept in linear time, not in |null rows| × |ground rows|. *)
+
+(* one (group, candidate group) index: bucket heads and per-member
+   links, as member offsets within the candidate group, [-1] ending a
+   chain *)
+type pair = { heads : int array; next : int array }
+
+let no_pair = { heads = [||]; next = [||] }
 
 let sweep_relation ~counts ~dropped { arity; data; rows } live =
   let n = Array.length rows in
   let base k = rows.(k) * arity in
-  (* same null positions and same constants *)
-  let module Same = Hashtbl.Make (struct
-    type t = int
-
-    let equal a b =
-      let ba = base a and bb = base b in
-      let rec go p =
-        p = arity
-        || (let x = data.(ba + p) and y = data.(bb + p) in
-            if x < 0 then y < 0 else x = y)
-           && go (p + 1)
-      in
-      go 0
-
-    let hash a =
-      let b = base a in
-      let h = ref fnv_offset in
-      for p = 0 to arity - 1 do
-        h := (!h lxor max (-1) data.(b + p)) * fnv_prime
-      done;
-      !h land max_int
-  end) in
-  (* same null positions *)
-  let module Mask = Hashtbl.Make (struct
-    type t = int
-
-    let equal a b =
-      let ba = base a and bb = base b in
-      let rec go p =
-        p = arity || (data.(ba + p) < 0 = (data.(bb + p) < 0) && go (p + 1))
-      in
-      go 0
-
-    let hash a =
-      let b = base a in
-      let h = ref fnv_offset in
-      for p = 0 to arity - 1 do
-        if data.(b + p) < 0 then h := (!h lxor p) * fnv_prime
-      done;
-      !h land max_int
-  end) in
+  (* ---- groups by null mask, ids in first-occurrence order ---- *)
+  let group = Array.make n 0 in
+  let reps = Array.make (max 1 n) 0 (* a group's first row's base *) in
+  let ngroups = ref 0 in
+  let gslots = Array.make (table_size n) 0 (* group id + 1, [0] empty *) in
+  let gmask = Array.length gslots - 1 in
+  let same_mask b b' =
+    let p = ref 0 in
+    while !p < arity && (data.(b + !p) < 0) = (data.(b' + !p) < 0) do
+      incr p
+    done;
+    !p = arity
+  in
+  for k = 0 to n - 1 do
+    let b = base k in
+    let h = ref fnv_offset in
+    for p = 0 to arity - 1 do
+      if data.(b + p) < 0 then h := (!h lxor p) * fnv_prime
+    done;
+    let i = ref (spread !h land gmask) in
+    while gslots.(!i) <> 0 && not (same_mask b reps.(gslots.(!i) - 1)) do
+      i := (!i + 1) land gmask
+    done;
+    if gslots.(!i) = 0 then begin
+      reps.(!ngroups) <- b;
+      incr ngroups;
+      gslots.(!i) <- !ngroups
+    end;
+    group.(k) <- gslots.(!i) - 1
+  done;
+  let ngroups = !ngroups in
+  (* members of group [g]: [members.(start.(g)) ..] in row order *)
+  let start = Array.make (ngroups + 1) 0 in
+  Array.iter (fun g -> start.(g + 1) <- start.(g + 1) + 1) group;
+  for g = 1 to ngroups do
+    start.(g) <- start.(g) + start.(g - 1)
+  done;
+  let members = Array.make (max 1 n) 0 and fill = Array.sub start 0 ngroups in
+  for k = 0 to n - 1 do
+    let g = group.(k) in
+    members.(fill.(g)) <- k;
+    fill.(g) <- fill.(g) + 1
+  done;
+  let size g = start.(g + 1) - start.(g) in
+  (* each group's constant positions; a tested group's candidate groups
+     (itself, then those with a strictly smaller mask: distinct groups
+     have distinct masks) and their indexes, from its first row on *)
+  let cpos =
+    Array.init ngroups (fun g ->
+        let b = reps.(g) in
+        Array.of_list
+          (List.filter (fun p -> data.(b + p) >= 0) (List.init arity Fun.id)))
+  in
+  let cands = Array.make ngroups [||] and pairs = Array.make ngroups [||] in
+  let within g' g =
+    let bg = reps.(g) and b' = reps.(g') in
+    let p = ref 0 in
+    while !p < arity && (data.(b' + !p) >= 0 || data.(bg + !p) < 0) do
+      incr p
+    done;
+    !p = arity
+  in
+  let open_group g =
+    cands.(g) <-
+      Array.of_list
+        (g :: List.filter (fun g' -> g' <> g && within g' g) (List.init ngroups Fun.id));
+    pairs.(g) <- Array.make (Array.length cands.(g)) no_pair
+  in
+  let key_hash cp b =
+    let h = ref fnv_offset in
+    for i = 0 to Array.length cp - 1 do
+      h := (!h lxor data.(b + cp.(i))) * fnv_prime
+    done;
+    spread !h
+  in
+  let build cp g' =
+    let m = size g' in
+    let heads = Array.make (table_size m) (-1) and next = Array.make m (-1) in
+    let mask = Array.length heads - 1 in
+    for o = 0 to m - 1 do
+      let s = key_hash cp (base members.(start.(g') + o)) land mask in
+      next.(o) <- heads.(s);
+      heads.(s) <- o
+    done;
+    { heads; next }
+  in
   (* the tuple under test: [first.(p)] is the first position holding the
      null at [p], [local.(q)] how often the null first seen at [q]
-     occurs in it *)
+     occurs in it. [seen] maps a null to that first position: flat, and
+     cleared in O(1) by bumping [stamp]. *)
   let first = Array.make arity 0 and local = Array.make arity 0 in
-  let seen = Codes.create 8 in
+  let seen_keys = Array.make (table_size arity) 0 in
+  let seen_pos = Array.make (Array.length seen_keys) 0 in
+  let seen_stamp = Array.make (Array.length seen_keys) 0 in
+  let stamp = ref 0 in
   let prepare k =
-    Codes.clear seen;
+    incr stamp;
+    let smask = Array.length seen_keys - 1 in
     let b = base k in
     for p = 0 to arity - 1 do
       let x = data.(b + p) in
-      if x < 0 then
-        match Codes.find_opt seen x with
-        | Some q ->
-            first.(p) <- q;
-            local.(q) <- local.(q) + 1
-        | None ->
-            Codes.add seen x p;
-            first.(p) <- p;
-            local.(p) <- 1
+      if x < 0 then begin
+        let i = ref (spread x land smask) in
+        while seen_stamp.(!i) = !stamp && seen_keys.(!i) <> x do
+          i := (!i + 1) land smask
+        done;
+        if seen_stamp.(!i) = !stamp then begin
+          let q = seen_pos.(!i) in
+          first.(p) <- q;
+          local.(q) <- local.(q) + 1
+        end
+        else begin
+          seen_stamp.(!i) <- !stamp;
+          seen_keys.(!i) <- x;
+          seen_pos.(!i) <- p;
+          first.(p) <- p;
+          local.(p) <- 1
+        end
+      end
     done
   in
   (* [j] is the image of [k] under the map sending [k]'s nulls to [j]'s
      cells at the same positions *)
   let consistent k j =
     let bk = base k and bj = base j in
-    let rec go p =
-      p = arity
-      || (let x = data.(bk + p) in
-          if x >= 0 then data.(bj + p) = x
-          else
-            let q = first.(p) in
-            q = p || data.(bj + q) = data.(bj + p))
-         && go (p + 1)
-    in
-    go 0
+    let p = ref 0 in
+    while
+      !p < arity
+      &&
+      let x = data.(bk + !p) in
+      if x >= 0 then data.(bj + !p) = x
+      else
+        let q = first.(!p) in
+        q = !p || data.(bj + q) = data.(bj + !p)
+    do
+      incr p
+    done;
+    !p = arity
   in
   let only_here counts k =
     let b = base k in
-    let rec go p =
-      p = arity
-      || (let x = data.(b + p) in
-          x >= 0 || first.(p) <> p || Codes.find counts x = local.(p))
-         && go (p + 1)
-    in
-    go 0
+    let p = ref 0 in
+    while
+      !p < arity
+      &&
+      let x = data.(b + !p) in
+      x >= 0 || first.(!p) <> !p || Inttbl.find counts x 0 = local.(!p)
+    do
+      incr p
+    done;
+    !p = arity
   in
-  let same = Same.create (max 16 n) and masks = Mask.create 8 in
-  let exact = Array.make n (ref []) and group = Array.make n (-1) in
-  let reps = ref [] and ngroups = ref 0 in
-  for k = 0 to n - 1 do
-    (match Same.find_opt same k with
-    | Some l ->
-        l := k :: !l;
-        exact.(k) <- l
-    | None ->
-        let l = ref [ k ] in
-        Same.add same k l;
-        exact.(k) <- l);
-    group.(k) <-
-      (match Mask.find_opt masks k with
-      | Some g -> g
-      | None ->
-          let g = !ngroups in
-          Mask.add masks k g;
-          incr ngroups;
-          reps := base k :: !reps;
-          g)
-  done;
-  let reps = Array.of_list (List.rev !reps) in
-  let members = Array.make !ngroups [] in
-  for k = n - 1 downto 0 do
-    members.(group.(k)) <- k :: members.(group.(k))
-  done;
-  let has_null =
-    Array.map
-      (fun b ->
-        let rec go p = p < arity && (data.(b + p) < 0 || go (p + 1)) in
-        go 0)
-      reps
-  in
-  (* the groups whose null positions are a strict subset of [g]'s
-     (distinct groups have distinct positions) *)
-  let subsets = Array.make !ngroups None in
-  let subsets_of g =
-    match subsets.(g) with
-    | Some l -> l
-    | None ->
-        let bg = reps.(g) in
-        let within g' =
-          let b' = reps.(g') in
-          let rec go p =
-            p = arity || ((data.(b' + p) >= 0 || data.(bg + p) < 0) && go (p + 1))
-          in
-          g' <> g && go 0
-        in
-        let l = List.filter within (List.init !ngroups Fun.id) in
-        subsets.(g) <- Some l;
-        l
+  (* [k] and [j] agree on the positions [cp] *)
+  let same_key cp k j =
+    let bk = base k and bj = base j in
+    let i = ref 0 in
+    while !i < Array.length cp && data.(bk + cp.(!i)) = data.(bj + cp.(!i)) do
+      incr i
+    done;
+    !i = Array.length cp
   in
   for k = 0 to n - 1 do
-    if has_null.(group.(k)) then begin
-      let prepared = ref false in
-      let candidate j =
-        j <> k && live.(j)
-        && begin
-             if not !prepared then begin
-               prepare k;
-               prepared := true
-             end;
-             consistent k j
-           end
-      in
-      if
-        (List.exists candidate !(exact.(k))
-        || List.exists
-             (fun g -> List.exists candidate members.(g))
-             (subsets_of group.(k)))
-        && only_here (Lazy.force counts) k
-      then begin
+    let g = group.(k) in
+    if Array.length cpos.(g) < arity then begin
+      if Array.length cands.(g) = 0 then open_group g;
+      let cp = cpos.(g) and cs = cands.(g) and ps = pairs.(g) in
+      let h = key_hash cp (base k) in
+      let prepared = ref false and found = ref false and c = ref 0 in
+      while (not !found) && !c < Array.length cs do
+        let g' = cs.(!c) in
+        if ps.(!c) == no_pair then ps.(!c) <- build cp g';
+        let pr = ps.(!c) in
+        let o = ref pr.heads.(h land (Array.length pr.heads - 1)) in
+        while (not !found) && !o >= 0 do
+          let j = members.(start.(g') + !o) in
+          if j <> k && live.(j) && same_key cp k j then begin
+            if not !prepared then begin
+              prepare k;
+              prepared := true
+            end;
+            if consistent k j then found := true
+          end;
+          o := pr.next.(!o)
+        done;
+        incr c
+      done;
+      if !found && only_here (Lazy.force counts) k then begin
         live.(k) <- false;
         incr dropped
-      end
+      end;
+      (* the group's last row: its indexes are done with *)
+      if k = members.(start.(g + 1) - 1) then pairs.(g) <- [||]
     end
   done
 
 let sweep_coded rels =
   let live = List.map (fun r -> Array.make (Array.length r.rows) true) rels in
-  let counts =
-    lazy
-      (let c = Codes.create 1024 in
-       List.iter
-         (fun { arity; data; rows } ->
-           Array.iter
-             (fun row ->
-               for p = row * arity to ((row + 1) * arity) - 1 do
-                 let x = data.(p) in
-                 if x < 0 then
-                   Codes.replace c x
-                     (1 + Option.value ~default:0 (Codes.find_opt c x))
-               done)
-             rows)
-         rels;
-       c)
-  in
+  let counts = lazy (null_counts rels) in
   let dropped = ref 0 in
   List.iter2 (sweep_relation ~counts ~dropped) rels live;
   (live, !dropped)

@@ -9,9 +9,9 @@
     implementing the restricted-chase "is the rhs already satisfied"
     test with existentials as wildcards.
 
-    Variables are compiled to integer slots; a trigger is a [Value.t
-    array] environment, so the engine's inner loop allocates nothing
-    but the environment itself. *)
+    Variables are compiled to integer slots; the engine lowers a plan
+    to interned codes and binds each trigger into one reused int array
+    environment. *)
 
 type binding = Slot of int | Const of Smg_relational.Value.t
 

@@ -171,6 +171,19 @@ let relink t ix nbuckets =
 
 let buckets_for live = next_pow2 (max 16 (2 * live))
 
+(* link [row] into every index *)
+let rec link_all t row = function
+  | [] -> ()
+  | ix :: rest ->
+      link t ix row;
+      (* past half load: relink the live rows (dropping tombstones)
+         into a table that holds at least twice the live count *)
+      let nb = Array.length ix.x_head in
+      if ix.x_linked * 2 > nb then
+        relink t ix
+          (if t.cs_count * 4 > nb then buckets_for (2 * t.cs_count) else nb);
+      link_all t row rest
+
 let append_row t cells =
   if t.cs_rows >= t.cs_cap then grow t;
   let row = t.cs_rows in
@@ -178,28 +191,21 @@ let append_row t cells =
   Bytes.unsafe_set t.cs_live row '\001';
   t.cs_rows <- row + 1;
   t.cs_count <- t.cs_count + 1;
-  List.iter
-    (fun ix ->
-      link t ix row;
-      (* past half load: relink the live rows (dropping tombstones)
-         into a table that holds at least twice the live count *)
-      let nb = Array.length ix.x_head in
-      if ix.x_linked * 2 > nb then
-        relink t ix
-          (if t.cs_count * 4 > nb then buckets_for (2 * t.cs_count) else nb))
-    t.cs_indexes;
+  link_all t row t.cs_indexes;
   row
 
 (* ---- membership --------------------------------------------------------- *)
 
 let row_eq t row (cells : int array) =
   let base = row * t.cs_arity in
-  let rec go i =
-    i >= t.cs_arity
-    || Array.unsafe_get t.cs_data (base + i) = Array.unsafe_get cells i
-       && go (i + 1)
-  in
-  go 0
+  let i = ref 0 in
+  while
+    !i < t.cs_arity
+    && Array.unsafe_get t.cs_data (base + !i) = Array.unsafe_get cells !i
+  do
+    incr i
+  done;
+  !i >= t.cs_arity
 
 let shard_of_hash t h = t.cs_shards.(h mod t.cs_nshards)
 
@@ -218,7 +224,7 @@ let rehash_shard t sh =
       if slot > 0 then begin
         let row = slot - 1 in
         let h = hash_row t row in
-        let i = ref (h land mask) in
+        let i = ref (spread h land mask) in
         while sh.sh_slots.(!i) <> 0 do
           i := (!i + 1) land mask
         done;
@@ -230,7 +236,7 @@ let rehash_shard t sh =
 (* find the slot index holding [cells], or [- insertion_point - 1] *)
 let shard_lookup t sh h cells =
   let mask = Array.length sh.sh_slots - 1 in
-  let i = ref (h land mask) in
+  let i = ref (spread h land mask) in
   let free = ref (-1) in
   let res = ref 0 in
   (try
@@ -378,22 +384,33 @@ let build_index t cols =
   relink t ix (buckets_for t.cs_count);
   ix
 
-let same_cols a b =
+let same_cols (a : int array) (b : int array) =
   Array.length a = Array.length b
   &&
-  let rec go i = i >= Array.length a || (a.(i) = b.(i) && go (i + 1)) in
-  go 0
+  let i = ref 0 in
+  while !i < Array.length a && a.(!i) = b.(!i) do
+    incr i
+  done;
+  !i = Array.length a
 
-let find_index t cols =
-  List.find_opt (fun ix -> same_cols ix.x_cols cols) t.cs_indexes
+(* never linked, one empty bucket: stands for "no index built" without
+   an option per probe *)
+let no_index = { x_cols = [||]; x_head = [| -1 |]; x_next = [||]; x_linked = 0 }
+
+let rec find_in cols = function
+  | [] -> no_index
+  | ix :: rest -> if same_cols ix.x_cols cols then ix else find_in cols rest
+
+let find_index t cols = find_in cols t.cs_indexes
 
 let ensure_index t cols =
-  match find_index t cols with
-  | Some ix -> ix
-  | None ->
-      let ix = build_index t cols in
-      t.cs_indexes <- ix :: t.cs_indexes;
-      ix
+  let ix = find_index t cols in
+  if ix != no_index then ix
+  else begin
+    let ix = build_index t cols in
+    t.cs_indexes <- ix :: t.cs_indexes;
+    ix
+  end
 
 let first ix (cells : int array) =
   Array.unsafe_get ix.x_head

@@ -93,7 +93,13 @@ val ensure_index : t -> int array -> index
     past half load the live rows relink in arena order into a larger
     head array. *)
 
-val find_index : t -> int array -> index option
+val no_index : index
+(** Stands for "no index": never built or linked (a walk of it visits
+    nothing), compared by physical equality. *)
+
+val find_index : t -> int array -> index
+(** The index already built on these columns, or {!no_index}. Allocates
+    nothing, so a probe may call it per trigger. *)
 
 val first : index -> int array -> int
 (** [first ix cells] starts an in-place walk over the candidates for the

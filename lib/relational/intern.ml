@@ -19,8 +19,31 @@ let chunk_size = 1 lsl chunk_bits
 let directory : Value.t array array Atomic.t = Atomic.make [||]
 let published : int Atomic.t = Atomic.make 0
 
-(* value -> code, writers only *)
-let codes : (Value.t, int) Hashtbl.t = Hashtbl.create 1024
+(* value -> code, writers only. Equality is [compare = 0], as the
+   polymorphic table had it: [Float.equal] keeps one code for every NaN
+   and one for 0.0 and -0.0, and the float hash ([Hashtbl.hash]
+   normalizes NaNs and -0.0) agrees with it. *)
+module Codes = Hashtbl.Make (struct
+  type t = Value.t
+
+  let equal a b =
+    match (a, b) with
+    | Value.VInt x, Value.VInt y -> Int.equal x y
+    | Value.VString x, Value.VString y -> String.equal x y
+    | Value.VFloat x, Value.VFloat y -> Float.equal x y
+    | Value.VBool x, Value.VBool y -> Bool.equal x y
+    | Value.VNull x, Value.VNull y -> Int.equal x y
+    | (Value.VInt _ | VString _ | VFloat _ | VBool _ | VNull _), _ -> false
+
+  let hash = function
+    | Value.VInt i -> Hashtbl.hash i
+    | Value.VString s -> Hashtbl.hash s
+    | Value.VFloat f -> Hashtbl.hash f
+    | Value.VBool b -> Bool.to_int b
+    | Value.VNull n -> Hashtbl.hash n
+end)
+
+let codes : int Codes.t = Codes.create 1024
 let lock = Mutex.create ()
 
 (* ---- null range --------------------------------------------------------- *)
@@ -34,7 +57,7 @@ let null_label c = -c - 1
 (* ---- constants ---------------------------------------------------------- *)
 
 let intern_locked v =
-  match Hashtbl.find_opt codes v with
+  match Codes.find_opt codes v with
   | Some c -> c
   | None ->
       let c = Atomic.get published in
@@ -58,7 +81,7 @@ let intern_locked v =
       in
       dir.(chunk).(c land (chunk_size - 1)) <- v;
       Atomic.set published (c + 1);
-      Hashtbl.replace codes v c;
+      Codes.replace codes v c;
       c
 
 let code v =
@@ -75,7 +98,7 @@ let find v =
   | Value.VNull n -> Some (null_code n)
   | _ ->
       Mutex.lock lock;
-      let c = Hashtbl.find_opt codes v in
+      let c = Codes.find_opt codes v in
       Mutex.unlock lock;
       c
 
@@ -135,7 +158,7 @@ let find_tuple tup =
          (match tup.(i) with
          | Value.VNull k -> null_code k
          | v -> (
-             match Hashtbl.find_opt codes v with
+             match Codes.find_opt codes v with
              | Some c -> c
              | None ->
                  ok := false;

@@ -4,25 +4,37 @@ module Mapverify = Smg_verify.Mapverify
 module Diag = Smg_robust.Diag
 module Instance = Smg_relational.Instance
 module Value = Smg_relational.Value
+module Inttbl = Smg_relational.Inttbl
 module Engine = Smg_exchange.Engine
 
 (* Hand-rolled JSON: the repository takes no JSON library
    dependency. *)
 
-(* a JSON string literal, escaped straight into [b] *)
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+(* a JSON string literal, escaped straight into [b]; a string with
+   nothing to escape is copied whole *)
 let add_json_str b s =
   Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
+  let n = String.length s in
+  let i = ref 0 in
+  while !i < n && not (needs_escape (String.unsafe_get s !i)) do
+    incr i
+  done;
+  if !i = n then Buffer.add_string b s
+  else begin
+    Buffer.add_substring b s 0 !i;
+    for j = !i to n - 1 do
+      match String.unsafe_get s j with
       | '"' -> Buffer.add_string b "\\\""
       | '\\' -> Buffer.add_string b "\\\\"
       | '\n' -> Buffer.add_string b "\\n"
       | '\t' -> Buffer.add_string b "\\t"
       | c when Char.code c < 0x20 ->
           Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+      | c -> Buffer.add_char b c
+    done
+  end;
   Buffer.add_char b '"'
 
 let json_str s =
@@ -177,8 +189,6 @@ let add_value b ~canon (v : Value.t) =
       add_int b (canon k);
       Buffer.add_char b '"'
 
-module Labels = Hashtbl.Make (Int)
-
 let exchange_json ~head ?exhausted ?(diags = []) ~laconic
     (r : Engine.report) =
   let inst = r.Engine.r_target in
@@ -190,14 +200,15 @@ let exchange_json ~head ?exhausted ?(diags = []) ~laconic
      Sized from the tuple count so a null-heavy target (about one null
      per tuple) never resizes the table. *)
   let total = Instance.total_tuples inst in
-  let labels = Labels.create (max 64 total) in
+  let labels = Inttbl.create total in
   let canon k =
-    match Labels.find_opt labels k with
-    | Some c -> c
-    | None ->
-        let c = Labels.length labels + 1 in
-        Labels.add labels k c;
-        c
+    let c = Inttbl.find labels k 0 in
+    if c > 0 then c
+    else begin
+      let c = Inttbl.length labels + 1 in
+      Inttbl.replace labels k c;
+      c
+    end
   in
   let b = Buffer.create (4096 + (32 * total)) in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
@@ -248,11 +259,10 @@ let exchange_json ~head ?exhausted ?(diags = []) ~laconic
           (fun j tup ->
             sep j ",\n    ";
             Buffer.add_char b '[';
-            Array.iteri
-              (fun c v ->
-                sep c ", ";
-                add_value b ~canon v)
-              tup;
+            for c = 0 to Array.length tup - 1 do
+              sep c ", ";
+              add_value b ~canon tup.(c)
+            done;
             Buffer.add_char b ']')
           rel.Instance.tuples;
         Buffer.add_string b "]}"

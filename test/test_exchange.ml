@@ -545,24 +545,40 @@ let pp_rels rels =
 (* Three relations over small pools: three constants and six null
    labels shared by all relations, so null patterns repeat, a null
    repeats inside a tuple, nulls are shared across relations, masks nest
-   strictly, and some tuples are appended twice. *)
+   strictly, and some tuples are appended twice. A fourth mixes ground
+   rows with rows derived from them by overwriting cells with nulls or
+   other constants, in shuffled order: null rows meet ground rows that
+   hold their constants, before and after them. *)
 let arb_sweep_input =
   let open QCheck.Gen in
-  let cell =
-    frequency
-      [
-        (3, map (fun i -> vs (Printf.sprintf "k%d" i)) (int_bound 2));
-        (2, map (fun k -> Value.VNull (900_000 + k)) (int_bound 5));
-      ]
-  in
+  let const = map (fun i -> vs (Printf.sprintf "k%d" i)) (int_bound 2) in
+  let null = map (fun k -> Value.VNull (900_000 + k)) (int_bound 5) in
+  let cell = frequency [ (3, const); (2, null) ] in
   let rel name =
     int_range 1 4 >>= fun arity ->
     list_size (int_bound 10) (array_size (return arity) cell) >>= fun ts ->
     list_size (int_bound 2) (int_bound 9) >|= fun dups ->
     (name, ts @ List.filteri (fun i _ -> List.mem i dups) ts)
   in
+  let mixed name =
+    int_range 1 4 >>= fun arity ->
+    list_size (int_range 1 8) (array_size (return arity) const) >>= fun ground ->
+    let ground = Array.of_list ground in
+    let overwrite =
+      frequency [ (2, return None); (2, map Option.some null); (1, map Option.some const) ]
+    in
+    list_size (int_bound 10)
+      ( int_bound (Array.length ground - 1) >>= fun i ->
+        array_size (return arity) overwrite >|= fun over ->
+        Array.mapi
+          (fun p c -> Option.value ~default:c over.(p))
+          ground.(i) )
+    >>= fun derived ->
+    shuffle_l (Array.to_list ground @ derived) >|= fun ts -> (name, ts)
+  in
   QCheck.make ~print:pp_rels
-    (triple (rel "a") (rel "b") (rel "c") >|= fun (x, y, z) -> [ x; y; z ])
+    (quad (rel "a") (rel "b") (rel "c") (mixed "d") >|= fun (x, y, z, w) ->
+     [ x; y; z; w ])
 
 let prop_sweep_reference =
   QCheck.Test.make ~name:"sweep = naive reference (survivors, order, drops)"
@@ -627,6 +643,30 @@ let test_laconic_sweep_wide () =
   Alcotest.(check bool) "as the reference has it" true
     ((swept_rels swept, dropped) = reference_sweep rels)
 
+(* Time guard: 5x10^4 ground rows beside 5x10^4 one-null rows that no
+   ground row subsumes. The sweep probes each null row's constants in
+   an index over the ground rows, so this takes well under a second;
+   trying every ground row as a candidate for every null row (2.5x10^9
+   tests) takes tens of seconds. *)
+let test_laconic_sweep_mixed_scale () =
+  let n = 50_000 in
+  let rows =
+    List.concat
+      (List.init n (fun i ->
+           [
+             [| Value.VInt i; Value.VInt i |];
+             [| Value.VInt (n + i); Value.VNull (2_000_000 + i) |];
+           ]))
+  in
+  let t0 = Unix.gettimeofday () in
+  let swept, dropped = Laconic.sweep (instance_of_rels [ ("m", rows) ]) in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check int) "nothing folds" 0 dropped;
+  Alcotest.(check int) "every row survives" (2 * n)
+    (Instance.cardinality swept "m");
+  if elapsed >= 2.0 then
+    Alcotest.failf "sweeping %d rows took %.2f s (limit 2 s)" (2 * n) elapsed
+
 (* ---- laconic exchange byte-parity pins ---------------------------------- *)
 
 (* the CLI's laconic body ([mapdisc exchange --scenario NAME --size N
@@ -679,6 +719,79 @@ let test_amalgam_sweep_dropped () =
         expected
         (sweep_dropped (laconic_body "amalgam" ~size)))
     [ (64, 28); (1000, 462) ]
+
+(* ---- allocation guard -------------------------------------------------- *)
+
+(* The generated exchange fixture perfbench times (its [Inputs] params,
+   and the best candidate of every per-table case as its tgds), at
+   scale 10^4: about 10^4 source tuples, 1.3x10^4 triggers and 10^4
+   target tuples. *)
+let generated_fixture ~scale =
+  let module Gen = Smg_generate.Gen in
+  let module Params = Smg_generate.Params in
+  let module Discover = Smg_core.Discover in
+  let g =
+    Gen.build
+      (Params.clamp
+         {
+           Params.seed = 42;
+           isa_depth = 1;
+           n_roots = 3;
+           reify = 2;
+           partof = 1;
+           attrs_per_class = 2;
+           corr_density = 0.5;
+           scale;
+         })
+  in
+  let target = g.Gen.g_target.Discover.schema in
+  let tgds =
+    List.concat_map
+      (fun (tbl, corrs) ->
+        match
+          Discover.discover ~source:g.Gen.g_source ~target:g.Gen.g_target
+            ~corrs ()
+        with
+        | [] -> []
+        | best :: _ ->
+            let best = Mapping.rename tbl best in
+            if best.Mapping.outer then Mapping.outer_variants ~target best
+            else [ Mapping.to_tgd best ])
+      g.Gen.g_cases
+  in
+  (g.Gen.g_source.Discover.schema, target, tgds, Gen.source_instance g)
+
+(* Minor words a repeat execution allocates per target tuple: the
+   trigger loop (scan, probe, satisfaction check, fire) allocates
+   nothing per trigger, so what is left is materializing the boxed
+   target and fixed per-run set-up. It measured 17.2 words; the bound
+   sits 1.25x above, below what one small closure per trigger (four
+   words or more, 1.3 triggers per tuple) would add. *)
+let test_exchange_allocation () =
+  let source, target, mappings, inst = generated_fixture ~scale:10_000 in
+  let compiled =
+    match
+      Engine.compile ~card:(Instance.cardinality inst) ~source ~target
+        ~mappings ()
+    with
+    | Ok c -> c
+    | Error m -> Alcotest.fail m
+  in
+  let run () =
+    match Engine.execute ~shards:1 compiled inst with
+    | Engine.Complete r -> r
+    | _ -> Alcotest.fail "execution did not complete"
+  in
+  (* the first run interns the source and warms the coded-arena cache *)
+  ignore (run ());
+  let w0 = Gc.minor_words () in
+  let r = run () in
+  let words = Gc.minor_words () -. w0 in
+  let tuples = Instance.total_tuples r.Engine.r_target in
+  Alcotest.(check bool) "about 10^4 target tuples" true (tuples > 9_000);
+  let per_tuple = words /. float_of_int tuples in
+  if per_tuple > 21.5 then
+    Alcotest.failf "%.1f minor words per target tuple (bound 21.5)" per_tuple
 
 let scenario_tgds (scen : Scenario.t) =
   List.concat_map
@@ -776,6 +889,8 @@ let suite =
         Alcotest.test_case "stats" `Quick test_engine_stats;
         Alcotest.test_case "skolem merge" `Quick test_skolem_merge;
         Alcotest.test_case "outer variants" `Quick test_outer_variants;
+        Alcotest.test_case "allocation per target tuple" `Quick
+          test_exchange_allocation;
         q prop_satisfies;
         q prop_chase_equiv;
       ] );
@@ -790,6 +905,8 @@ let suite =
         q prop_sweep_reference;
         q prop_sweep_coded_rows;
         Alcotest.test_case "sweep 70 columns" `Quick test_laconic_sweep_wide;
+        Alcotest.test_case "sweep 10^5 mixed rows (time guard)" `Quick
+          test_laconic_sweep_mixed_scale;
         Alcotest.test_case "amalgam sweep_dropped" `Quick
           test_amalgam_sweep_dropped;
         Alcotest.test_case "body digests (size 1000)" `Quick

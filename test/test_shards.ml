@@ -79,6 +79,32 @@ let test_intern_nulls () =
   Alcotest.(check bool) "tuple round-trips" true
     (Array.for_all2 Value.equal (Intern.decode_tuple (Intern.code_tuple tup)) tup)
 
+(* Which constants share a code: equal under [compare], so every NaN
+   codes alike (whatever its bits) and so do 0.0 and -0.0, while
+   values of different constructors never share one. *)
+let test_intern_code_classes () =
+  let code = Intern.code in
+  let nan2 = Int64.float_of_bits 0x7ff0_0000_0000_0001L in
+  Alcotest.(check bool) "a second NaN" true (Float.is_nan nan2);
+  Alcotest.(check int) "NaNs share a code" (code (Value.VFloat Float.nan))
+    (code (Value.VFloat nan2));
+  Alcotest.(check int) "NaN is stable" (code (Value.VFloat Float.nan))
+    (code (Value.VFloat (Float.neg Float.nan)));
+  Alcotest.(check int) "0.0 and -0.0 share a code" (code (Value.VFloat 0.0))
+    (code (Value.VFloat (-0.0)));
+  let ones =
+    [ Value.VInt 1; Value.VFloat 1.0; vs "1"; Value.VBool true ]
+  in
+  let cs = List.map code ones in
+  Alcotest.(check int) "1, 1.0, \"1\" and true code apart" 4
+    (List.length (List.sort_uniq compare cs));
+  Alcotest.(check (list int)) "codes are stable" cs (List.map code ones);
+  (* a new constant takes the next code *)
+  let fresh = vs "intern: a constant no other test uses" in
+  let next = Intern.pool_size () in
+  Alcotest.(check int) "insertion order" next (code fresh);
+  Alcotest.(check int) "pool grew by one" (next + 1) (Intern.pool_size ())
+
 (* ---- colstore ----------------------------------------------------------- *)
 
 let row3 i = [| Intern.code (vs (Printf.sprintf "k%d" (i mod 17))); i; i * i |]
@@ -410,6 +436,7 @@ let suite =
         q prop_intern_roundtrip;
         q prop_intern_rows;
         Alcotest.test_case "intern null arithmetic" `Quick test_intern_nulls;
+        Alcotest.test_case "intern code classes" `Quick test_intern_code_classes;
         Alcotest.test_case "colstore invariant across shard counts" `Quick
           test_colstore_shard_invariant;
         Alcotest.test_case "colstore adopts a flat arena" `Quick
