@@ -487,6 +487,16 @@ let discover_core ctx ~options ~dedup ~source ~target ~corrs =
     let src_sctx_strict = Steiner.context src_graph ~cost:src_cost_strict in
     let src_sctx_lossy = Steiner.context src_graph ~cost:src_cost_lossy in
 
+    (* §3.4 rewriting of each distinct (side, encoded query, required
+       tables), shared by every target-CSG task of the run: source CSGs
+       often encode the same query, and tasks ask for the same target
+       rewriting. Rewriting spends no fuel, so the memo cannot change
+       what a budgeted run returns; a rewriting that raises is not
+       kept, so every task that asks raises alike. Two pooled tasks may
+       both compute a missing entry; their results are equal. *)
+    let rewritten = Hashtbl.create 16 in
+    let rewritten_lock = Mutex.create () in
+
     (* -- per-target-CSG source search -- *)
     let process_tgt ctx d2 =
       (* DP memo sessions are per task: a memo hit skips the DP's fuel
@@ -494,11 +504,6 @@ let discover_core ctx ~options ~dedup ~source ~target ~corrs =
          accounting depend on the steal schedule. *)
       let sess_strict = Steiner.session src_sctx_strict in
       let sess_lossy = Steiner.session src_sctx_lossy in
-      (* Source CSGs of this task often encode the same query, and every
-         one is paired with the same target CSG: rewrite each distinct
-         (side, query, required tables) once. Rewriting spends no fuel,
-         so the memo cannot change what a budgeted run returns. *)
-      let rewritten = Hashtbl.create 8 in
       let relevant = List.filter (fun l -> List.mem l.l_tnode d2.c_nodes) lifted in
       if relevant = [] || not (Cm_graph.consistent_subgraph target.cmg d2.c_edges)
       then []
@@ -734,7 +739,10 @@ let discover_core ctx ~options ~dedup ~source ~target ~corrs =
                 let rewrites sd csg required =
                   let q = Encode.query_of_csg sd.cmg csg in
                   let key = (sd == source, q, required) in
-                  match Hashtbl.find_opt rewritten key with
+                  match
+                    Mutex.protect rewritten_lock (fun () ->
+                        Hashtbl.find_opt rewritten key)
+                  with
                   | Some rws -> rws
                   | None ->
                       let covers =
@@ -742,18 +750,16 @@ let discover_core ctx ~options ~dedup ~source ~target ~corrs =
                           ~strees:sd.strees q
                       in
                       let rws =
-                        match
-                          Rewrite.select ~schema:sd.schema
-                            ~required_tables:required covers
-                        with
+                        match Rewrite.select ~required_tables:required covers with
                         | [] ->
                             (* fall back to unconstrained rewritings
                                rather than losing the candidate
                                altogether *)
-                            Rewrite.select ~schema:sd.schema covers
+                            Rewrite.select covers
                         | strict -> strict
                       in
-                      Hashtbl.add rewritten key rws;
+                      Mutex.protect rewritten_lock (fun () ->
+                          Hashtbl.replace rewritten key rws);
                       rws
                 in
                 let req_s =

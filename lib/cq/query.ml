@@ -61,12 +61,24 @@ let equivalent q1 q2 = contained_in q1 q2 && contained_in q2 q1
    dropping atoms only removes fold targets, so an atom that could not
    be dropped never can later. *)
 let minimize q =
+  (* an atom whose predicate no other atom has cannot fold away *)
+  let preds = Hashtbl.create 16 in
+  List.iter
+    (fun (a : Atom.t) ->
+      Hashtbl.replace preds a.pred
+        (1 + Option.value ~default:0 (Hashtbl.find_opt preds a.pred)))
+    q.body;
   let rec shrink kept = function
     | [] -> List.rev kept
-    | a :: rest ->
-        let without = { q with body = List.rev_append kept rest } in
-        if Option.is_some (homomorphism ~from_:q ~to_:without) then shrink kept rest
-        else shrink (a :: kept) rest
+    | (a : Atom.t) :: rest ->
+        if Hashtbl.find preds a.pred = 1 then shrink (a :: kept) rest
+        else
+          let without = { q with body = List.rev_append kept rest } in
+          if Option.is_some (homomorphism ~from_:q ~to_:without) then begin
+            Hashtbl.replace preds a.pred (Hashtbl.find preds a.pred - 1);
+            shrink kept rest
+          end
+          else shrink (a :: kept) rest
   in
   { q with body = shrink [] q.body }
 

@@ -229,11 +229,10 @@ let compile ?card ?lead ~source ~target (tgd : Dependency.tgd) =
      determined by the trigger's bindings — the check must compute it,
      or a trigger would be skipped because a *different* Skolem row is
      already present. *)
-  let introduced = Hashtbl.create 8 in
-  let checks =
+  let templates =
     List.map
       (fun (a : Atom.t) ->
-        let cells =
+        ( a.Atom.pred,
           Array.of_list
             (List.map
                (fun term ->
@@ -247,23 +246,48 @@ let compile ?card ?lead ~source ~target (tgd : Dependency.tgd) =
                          match Hashtbl.find_opt skolem_of x with
                          | Some (f, args) -> KSkolem (f, args)
                          | None -> KEx (Hashtbl.find ex_of x))))
-               a.args)
+               a.args) ))
+      tgd.Dependency.rhs
+  in
+  (* The check runs its templates greedily by how many positions are
+     statically known — slots, constants, Skolem cells, existentials an
+     earlier template bound — ties in rhs order: a template whose probe
+     key is empty scans its whole relation on every trigger, so it goes
+     last, when earlier templates have bound its existentials.
+     Satisfaction does not depend on the order. *)
+  let introduced = Hashtbl.create 8 in
+  let known = function
+    | KSlot _ | KConst _ | KSkolem _ -> true
+    | KEx e -> Hashtbl.mem introduced e
+  in
+  let rec order acc = function
+    | [] -> List.rev acc
+    | remaining ->
+        let score (_, cells) =
+          Array.fold_left (fun n cell -> if known cell then n + 1 else n) 0 cells
         in
+        let best =
+          List.fold_left
+            (fun best t -> if score t > score best then t else best)
+            (List.hd remaining) remaining
+        in
+        let pred, cells = best in
         let probe = ref [] in
         let fresh_here = Hashtbl.create 4 in
         Array.iteri
           (fun pos cell ->
-            match cell with
-            | KSlot _ | KConst _ | KSkolem _ -> probe := pos :: !probe
-            | KEx e ->
-                if Hashtbl.mem introduced e then probe := pos :: !probe
-                else if not (Hashtbl.mem fresh_here e) then
-                  Hashtbl.replace fresh_here e ())
+            if known cell then probe := pos :: !probe
+            else
+              match cell with
+              | KEx e -> Hashtbl.replace fresh_here e ()
+              | KSlot _ | KConst _ | KSkolem _ -> ())
           cells;
         Hashtbl.iter (fun e () -> Hashtbl.replace introduced e ()) fresh_here;
-        { ck_pred = a.pred; ck_cells = cells; ck_probe = List.rev !probe })
-      tgd.Dependency.rhs
+        order
+          ({ ck_pred = pred; ck_cells = cells; ck_probe = List.rev !probe } :: acc)
+          (List.filter (fun t -> t != best) remaining)
   in
+  let checks = order [] templates in
   let names = Array.of_list (List.rev !slot_names) in
   {
     p_name = tgd.Dependency.tgd_name;

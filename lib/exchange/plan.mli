@@ -7,7 +7,10 @@
     bound slots, constants, trigger-local labelled nulls, or Skolem
     terms computed from bound slots), and satisfaction-check templates
     implementing the restricted-chase "is the rhs already satisfied"
-    test with existentials as wildcards.
+    test with existentials as wildcards, ordered greedily by how many
+    of their positions are statically known, so a template with an
+    empty probe key runs after the templates that bind its
+    existentials.
 
     Variables are compiled to integer slots; the engine lowers a plan
     to interned codes and binds each trigger into one reused int array

@@ -48,38 +48,63 @@ module Vars = struct
         i
 end
 
-(* A term bound to a column: a numbered variable or a constant. *)
-type bound = Bvar of int | Bcst of Atom.term
+(* A term as a code: a numbered variable (>= 0) or a numbered constant
+   (< 0). A cover is built, merged and compared on codes; only the
+   queries that survive to minimization are spelled out as terms. *)
+type code = int
 
-let equal_bound a b =
-  match (a, b) with
-  | Bvar x, Bvar y -> x = y
-  | Bcst c, Bcst d -> Atom.equal_term c d
-  | Bvar _, Bcst _ | Bcst _, Bvar _ -> false
+(* no term (yet) *)
+let unset = min_int
 
 (* ---- variable-level union-find with constant anchors ----------------- *)
 
 module Tuf = struct
+  (* One union-find serves every cover of a search: an entry stamped
+     with an earlier epoch reads as a singleton class without a constant,
+     so starting a cover costs nothing per variable. [seen] is
+     [finalize]'s per-variable scratch, reset alike. *)
   type t = {
-    parent : int array;
-    anchor : Atom.term option array;  (* rep -> constant *)
+    mutable parent : int array;
+    mutable anchor : code array;  (* rep -> constant, or [unset] *)
+    mutable seen : int array;
+    mutable stamp : int array;
+    mutable epoch : int;
     preferred : int;  (* variables numbered below are answer variables *)
   }
 
-  let create (vars : Vars.t) ~preferred =
-    {
-      parent = Array.init vars.Vars.count Fun.id;
-      anchor = Array.make vars.Vars.count None;
-      preferred;
-    }
+  let create ~preferred =
+    { parent = [||]; anchor = [||]; seen = [||]; stamp = [||]; epoch = 0; preferred }
+
+  (* Start a cover over [n] variables. *)
+  let reset t n =
+    if Array.length t.stamp < n then begin
+      let m = max n (2 * Array.length t.stamp) in
+      t.parent <- Array.make m 0;
+      t.anchor <- Array.make m unset;
+      t.seen <- Array.make m (-1);
+      t.stamp <- Array.make m 0
+    end;
+    t.epoch <- t.epoch + 1
+
+  let touch t x =
+    if t.stamp.(x) <> t.epoch then begin
+      t.stamp.(x) <- t.epoch;
+      t.parent.(x) <- x;
+      t.anchor.(x) <- unset;
+      t.seen.(x) <- -1
+    end
+
+  let anchor t r = if t.stamp.(r) = t.epoch then t.anchor.(r) else unset
 
   let rec find t x =
-    let p = t.parent.(x) in
-    if p = x then x
+    if t.stamp.(x) <> t.epoch then x
     else
-      let r = find t p in
-      t.parent.(x) <- r;
-      r
+      let p = t.parent.(x) in
+      if p = x then x
+      else
+        let r = find t p in
+        t.parent.(x) <- r;
+        r
 
   (* Returns false on constant conflict. *)
   let union t a b =
@@ -88,30 +113,35 @@ module Tuf = struct
     else begin
       (* Keep a preferred (answer) variable as representative. *)
       let keep, drop = if ra < t.preferred then (ra, rb) else (rb, ra) in
-      match (t.anchor.(keep), t.anchor.(drop)) with
-      | Some c1, Some c2 when not (Atom.equal_term c1 c2) -> false
-      | _, c2 ->
-          t.parent.(drop) <- keep;
-          (match (t.anchor.(keep), c2) with
-          | None, Some c -> t.anchor.(keep) <- Some c
-          | _, _ -> ());
-          t.anchor.(drop) <- None;
-          true
+      let c1 = anchor t keep and c2 = anchor t drop in
+      if c1 <> unset && c2 <> unset && c1 <> c2 then false
+      else begin
+        touch t keep;
+        touch t drop;
+        t.parent.(drop) <- keep;
+        if c1 = unset && c2 <> unset then t.anchor.(keep) <- c2;
+        t.anchor.(drop) <- unset;
+        true
+      end
     end
 
   let unify_const t x c =
     let r = find t x in
-    match t.anchor.(r) with
-    | Some c' -> Atom.equal_term c c'
-    | None ->
-        t.anchor.(r) <- Some c;
-        true
+    let c' = anchor t r in
+    if c' = unset then begin
+      touch t r;
+      t.anchor.(r) <- c;
+      true
+    end
+    else c = c'
 
-  let resolve t (vars : Vars.t) = function
-    | Bcst c -> c
-    | Bvar x -> (
-        let r = find t x in
-        match t.anchor.(r) with Some c -> c | None -> vars.Vars.terms.(r))
+  (* the code a bound term stands for once the cover's unions are done *)
+  let resolve t b =
+    if b < 0 then b
+    else
+      let r = find t b in
+      let c = anchor t r in
+      if c = unset then r else c
 end
 
 (* ---- view-instance state --------------------------------------------- *)
@@ -120,20 +150,29 @@ end
    [finalize] ask of it worked out once, when its option is built:
    [a_rep] numbers the node's ISA-equivalence class within its table
    (identity flows through SIsa edges), and [a_ids] pairs each column
-   identifying the node with the variable that column is bound to. *)
+   identifying the node with the variable that column is bound to.
+   Columns are numbered per table, as a cover first mentions them. *)
 type asg = {
   a_node : Stree.node_ref;
   a_var : int;
   a_rep : int;
-  a_ids : (string * int) list option;
+  a_ids : (int * int) list option;
 }
 
 type inst = {
   i_st : Stree.t;
   i_tid : int;  (* the table, numbered by its first s-tree *)
   i_asg : asg list;  (* s-tree node -> query variable *)
-  i_cols : (string * bound) list;  (* column -> bound term *)
+  i_cols : (int * code) list;  (* column -> bound term *)
 }
+
+let rec col_find (c : int) = function
+  | [] -> None
+  | (c', t) :: rest -> if c = c' then Some t else col_find c rest
+
+let rec col_mem (c : int) = function
+  | [] -> false
+  | (c', _) :: rest -> c = c' || col_mem c rest
 
 (* isa-equivalence of s-tree nodes (identity flows through SIsa edges) *)
 let isa_key (n : Stree.node_ref) =
@@ -167,22 +206,23 @@ type opt = {
   o_st : Stree.t;
   o_tid : int;
   o_asg : asg list;
-  o_cols : (string * bound) list;
+  o_cols : (int * code) list;
 }
 
 (* What building options needs from the query being rewritten: the
-   number of an s-tree's table, the assignment of node [n] of an s-tree
-   to variable [x], and the binding of a term. *)
+   number of an s-tree's table, the number of a column of an s-tree's
+   table, the assignment of node [n] of an s-tree to variable [x], and
+   the binding of a term. *)
 type env = {
   tid : Stree.t -> int;
+  col : Stree.t -> string -> int;
   assign : Stree.t -> Stree.node_ref -> int -> asg;
-  bind : Atom.term -> bound;
+  bind : Atom.term -> code;
 }
 
 let as_var env t =
-  match env.bind t with
-  | Bvar x -> x
-  | Bcst _ -> invalid_arg "rewrite: constant in object position"
+  let x = env.bind t in
+  if x < 0 then invalid_arg "rewrite: constant in object position" else x
 
 let subsumes cm ~have ~want =
   (* Objects of class [have] are also objects of class [want]? *)
@@ -249,7 +289,9 @@ let options_for env cm strees (a : Atom.t) : opt list =
                     String.equal a attr
                     && Stree.declaring_class cm n.Stree.nr_class a
                        = Some owner
-                  then Some (opt st [ env.assign st n x ] [ (col, env.bind w) ])
+                  then
+                    Some
+                      (opt st [ env.assign st n x ] [ (env.col st col, env.bind w) ])
                   else None)
                 st.Stree.col_map)
             strees
@@ -286,9 +328,9 @@ let extend env inst (o : opt) =
     let ok_cols =
       List.for_all
         (fun (c, t) ->
-          match List.assoc_opt c inst.i_cols with
+          match col_find c inst.i_cols with
           | None -> true
-          | Some t' -> equal_bound t t')
+          | Some t' -> t = t')
         o.o_cols
     in
     if ok_asg && ok_cols then
@@ -302,7 +344,7 @@ let extend env inst (o : opt) =
       let i_cols =
         List.fold_left
           (fun acc (c, t) ->
-            if List.mem_assoc c acc then acc else (c, t) :: acc)
+            if col_mem c acc then acc else (c, t) :: acc)
           inst.i_cols o.o_cols
       in
       if i_asg == inst.i_asg && i_cols == inst.i_cols then Some inst
@@ -314,68 +356,96 @@ let fresh_inst (o : opt) =
 
 (* ---- finalisation ----------------------------------------------------- *)
 
-(* [columns tid] lists the columns of table [tid]; variables numbered
-   below [preferred] are the head's. *)
-let finalize ~vars ~preferred ~columns ~head insts =
-  let tuf = Tuf.create vars ~preferred in
+(* A raw rewriting on codes: atom [i] is over table [k_tids.(i)], with
+   one argument per column of the table, in schema order. *)
+type coded = { k_tids : int array; k_args : code array array; k_head : code array }
+
+exception Reject
+
+let rec mark_seen tuf i = function
+  | [] -> ()
+  | a :: rest ->
+      let seen = tuf.Tuf.seen in
+      Tuf.touch tuf a.a_var;
+      let s = seen.(a.a_var) in
+      if s = -1 then seen.(a.a_var) <- i else if s <> i then seen.(a.a_var) <- -2;
+      mark_seen tuf i rest
+
+let rec fill row = function
+  | [] -> ()
+  | (c, t) :: rest ->
+      row.(c) <- t;
+      fill row rest
+
+(* bind each identifying column to its canonical variable *)
+let rec identify tuf row = function
+  | [] -> ()
+  | (c, canon) :: rest ->
+      let t = row.(c) in
+      if t = unset then row.(c) <- canon
+      else if t >= 0 then begin
+        if not (Tuf.union tuf canon t) then raise Reject
+      end
+      else if not (Tuf.unify_const tuf canon t) then raise Reject;
+      identify tuf row rest
+
+let rec propagate tuf row = function
+  | [] -> ()
+  | a :: rest ->
+      (match a.a_ids with
+      | None -> if tuf.Tuf.seen.(a.a_var) = -2 then raise Reject
+      | Some ids -> identify tuf row ids);
+      propagate tuf row rest
+
+(* [insts] are the cover's instances, last opened first; [width tid] is
+   how many columns of table [tid] are numbered so far; [slots tid]
+   numbers the table's columns, in schema order; [fresh k] is the code
+   of the [k]th fresh variable, [f<k>]; [tuf] is the search's
+   union-find. *)
+let finalize ~tuf ~vars ~width ~slots ~fresh ~head insts =
+  let insts = Array.of_list (List.rev insts) in
+  let n = Array.length insts in
+  Tuf.reset tuf vars.Vars.count;
   (* The instance mentioning each variable, or -2 once several do. *)
-  let seen = Array.make vars.Vars.count (-1) in
-  List.iteri
-    (fun i inst ->
-      List.iter
-        (fun a ->
-          let s = seen.(a.a_var) in
-          if s = -1 then seen.(a.a_var) <- i
-          else if s <> i then seen.(a.a_var) <- -2)
-        inst.i_asg)
-    insts;
+  for i = 0 to n - 1 do
+    mark_seen tuf i insts.(i).i_asg
+  done;
   (* Propagate identifier bindings; abort on failure. *)
-  let exception Reject in
-  try
-    let insts =
-      List.map
-        (fun inst ->
-          let cols = ref inst.i_cols in
-          List.iter
-            (fun a ->
-              match a.a_ids with
-              | None -> if seen.(a.a_var) = -2 then raise Reject
-              | Some ids ->
-                  List.iter
-                    (fun (c, canon) ->
-                      match List.assoc_opt c !cols with
-                      | Some (Bvar y) ->
-                          if not (Tuf.union tuf canon y) then raise Reject
-                      | Some (Bcst cst) ->
-                          if not (Tuf.unify_const tuf canon cst) then
-                            raise Reject
-                      | None -> cols := (c, Bvar canon) :: !cols)
-                    ids)
-            inst.i_asg;
-          { inst with i_cols = !cols })
-        insts
-    in
-    (* Build table atoms with full column lists. *)
-    let fresh = ref 0 in
-    let atoms =
-      List.map
-        (fun inst ->
-          let args =
-            List.map
-              (fun c ->
-                match List.assoc_opt c inst.i_cols with
-                | Some t -> Tuf.resolve tuf vars t
-                | None ->
-                    incr fresh;
-                    Atom.Var ("f" ^ string_of_int !fresh))
-              (columns inst.i_tid)
-          in
-          Atom.atom inst.i_st.Stree.st_table args)
-        insts
-    in
-    let head = List.map (Tuf.resolve tuf vars) head in
-    Some (Query.make ~name:"rw" ~head atoms)
-  with Reject -> None
+  match
+    Array.map
+      (fun inst ->
+        let row = Array.make (width inst.i_tid) unset in
+        fill row inst.i_cols;
+        propagate tuf row inst.i_asg;
+        row)
+      insts
+  with
+  | exception Reject -> None
+  | rows ->
+      (* Build table atoms with full column lists. *)
+      let n_fresh = ref 0 in
+      let args =
+        Array.init n (fun i ->
+            let row = rows.(i) and slots = slots insts.(i).i_tid in
+            let args = Array.make (Array.length slots) 0 in
+            for k = 0 to Array.length slots - 1 do
+              let c = slots.(k) in
+              let t = if c < Array.length row then row.(c) else unset in
+              args.(k) <-
+                (if t = unset then begin
+                   incr n_fresh;
+                   fresh !n_fresh
+                 end
+                 else Tuf.resolve tuf t)
+            done;
+            args)
+      in
+      Some
+        {
+          k_tids = Array.map (fun inst -> inst.i_tid) insts;
+          k_args = args;
+          k_head = Array.map (Tuf.resolve tuf) head;
+        }
 
 (* ---- key-based atom merging ------------------------------------------- *)
 
@@ -385,98 +455,230 @@ let finalize ~vars ~preferred ~columns ~head insts =
    query-level face of "merging Skolem functions through keys" (§3.4).
    Unification prefers head variables; a constant/constant clash keeps
    the atoms apart (the rewriting is then unsatisfiable anyway under the
-   key, but we stay conservative). *)
-let merge_by_keys ~schema (q : Query.t) =
-  let head_vars = Query.head_vars q in
-  let subst_term m = function
-    | Atom.Var x as t -> (
-        match List.assoc_opt x m with Some t' -> t' | None -> t)
-    | Atom.Cst _ as t -> t
+   key, but we stay conservative).
+
+   Each round merges the first atom, in body order, whose first later
+   partner under its key unifies with it: the partner goes, and the
+   round's substitution (a variable's latest binding, one level deep)
+   applies to every remaining atom and the head. [keys tid] lists table
+   [tid]'s key positions; [sub] is a scratch map over variable codes,
+   all [unset]. *)
+let merge_by_keys ~keys ~sub (c : coded) =
+  let n = Array.length c.k_tids in
+  let args = ref c.k_args and head = ref c.k_head in
+  let alive = Array.make n true in
+  let bound = ref [] in
+  let bind x t =
+    if sub.(x) = unset then bound := x :: !bound;
+    sub.(x) <- t
   in
-  let subst_atom m (a : Atom.t) =
-    { a with Atom.args = List.map (subst_term m) a.Atom.args }
+  let reset () =
+    List.iter (fun x -> sub.(x) <- unset) !bound;
+    bound := []
   in
-  let rec fixpoint (atoms, head) =
-    let try_merge () =
-      let rec pick = function
-        | [] -> None
-        | (a : Atom.t) :: rest -> (
-            let t = Schema.find_table_exn schema a.Atom.pred in
-            let key = t.Schema.key in
-            let cols = Schema.column_names t in
-            let key_args (x : Atom.t) =
-              List.filteri (fun i _ -> List.mem (List.nth cols i) key) x.Atom.args
-            in
-            if key = [] then pick rest
-            else
-              match
-                List.find_opt
-                  (fun (b : Atom.t) ->
-                    String.equal a.Atom.pred b.Atom.pred
-                    && List.for_all2 Atom.equal_term (key_args a) (key_args b))
-                  rest
-              with
-              | Some b -> (
-                  (* unify non-key args pairwise *)
-                  let rec unify m args1 args2 =
-                    match (args1, args2) with
-                    | [], [] -> Some m
-                    | t1 :: r1, t2 :: r2 -> (
-                        let t1 = subst_term m t1 and t2 = subst_term m t2 in
-                        if Atom.equal_term t1 t2 then unify m r1 r2
-                        else
-                          match (t1, t2) with
-                          | Atom.Var x, Atom.Var y ->
-                              (* keep head variables as representatives *)
-                              if List.mem x head_vars then
-                                unify ((y, Atom.Var x) :: m) r1 r2
-                              else unify ((x, Atom.Var y) :: m) r1 r2
-                          | Atom.Var x, (Atom.Cst _ as c)
-                          | (Atom.Cst _ as c), Atom.Var x ->
-                              unify ((x, c) :: m) r1 r2
-                          | Atom.Cst _, Atom.Cst _ -> None)
-                    | _, _ -> None
-                  in
-                  match unify [] a.Atom.args b.Atom.args with
-                  | Some m -> Some (a, b, m)
-                  | None -> pick rest)
-              | None -> pick rest)
-      in
-      pick atoms
+  let subst x = if x >= 0 && sub.(x) <> unset then sub.(x) else x in
+  let same_key i j =
+    c.k_tids.(i) = c.k_tids.(j)
+    &&
+    let a = !args.(i) and b = !args.(j) in
+    Array.for_all (fun k -> a.(k) = b.(k)) (keys c.k_tids.(i))
+  in
+  (* unify the arguments of atoms [i] and [j] pairwise into [sub] *)
+  let unify i j =
+    let a = !args.(i) and b = !args.(j) in
+    let rec go k =
+      k = Array.length a
+      ||
+      let t1 = subst a.(k) and t2 = subst b.(k) in
+      if t1 = t2 then go (k + 1)
+      else if t1 >= 0 && t2 >= 0 then begin
+        (* keep head variables as representatives *)
+        if Array.exists (Int.equal t1) c.k_head then bind t2 t1 else bind t1 t2;
+        go (k + 1)
+      end
+      else if t1 >= 0 then (bind t1 t2; go (k + 1))
+      else if t2 >= 0 then (bind t2 t1; go (k + 1))
+      else false
     in
-    match try_merge () with
-    | None -> (atoms, head)
-    | Some (_, b, m) ->
-        let atoms =
-          List.filter (fun x -> not (x == b)) atoms
-          |> List.map (subst_atom m)
-        in
+    Array.length a = Array.length b && go 0
+  in
+  let rec merge_one i =
+    if i >= n then false
+    else if (not alive.(i)) || Array.length (keys c.k_tids.(i)) = 0 then
+      merge_one (i + 1)
+    else
+      let rec partner j =
+        if j >= n then -1
+        else if alive.(j) && same_key i j then j
+        else partner (j + 1)
+      in
+      let j = partner (i + 1) in
+      if j >= 0 && unify i j then begin
+        alive.(j) <- false;
+        if !args == c.k_args then begin
+          args := Array.map Array.copy c.k_args;
+          head := Array.copy c.k_head
+        end;
+        Array.iteri
+          (fun k live -> if live then Array.map_inplace subst !args.(k))
+          alive;
         (* two *head* variables can be unified (two correspondences fed
            by the same column); the head must follow the substitution or
            it ends up unsafe *)
-        fixpoint (atoms, List.map (subst_term m) head)
+        Array.map_inplace subst !head;
+        reset ();
+        true
+      end
+      else begin
+        reset ();
+        merge_one (i + 1)
+      end
   in
-  let body, head = fixpoint (q.Query.body, q.Query.head) in
-  { q with Query.body = body; head }
+  let merged = ref false in
+  while merge_one 0 do
+    merged := true
+  done;
+  if not !merged then c
+  else
+    let live = List.filter (fun i -> alive.(i)) (List.init n Fun.id) in
+    {
+      k_tids = Array.of_list (List.map (fun i -> c.k_tids.(i)) live);
+      k_args = Array.of_list (List.map (fun i -> !args.(i)) live);
+      k_head = !head;
+    }
 
 (* ---- main ------------------------------------------------------------- *)
 
-type covers = Query.t list
+(* Coded rewritings under structural equality, hashed on every code. *)
+module Ktbl = Hashtbl.Make (struct
+  type t = coded
+
+  let codes_equal (a : code array) b =
+    Array.length a = Array.length b && Array.for_all2 Int.equal a b
+
+  let equal a b =
+    codes_equal a.k_tids b.k_tids
+    && codes_equal a.k_head b.k_head
+    && Array.for_all2 codes_equal a.k_args b.k_args
+
+  let hash_codes h (a : code array) =
+    let h = ref h in
+    for i = 0 to Array.length a - 1 do
+      h := (!h lxor a.(i)) * 0x100000001b3
+    done;
+    !h
+
+  let hash c =
+    let h = ref (hash_codes (hash_codes 17 c.k_tids) c.k_head) in
+    for i = 0 to Array.length c.k_args - 1 do
+      h := hash_codes !h c.k_args.(i)
+    done;
+    (!h lxor (!h lsr 32)) land max_int
+end)
+
+(* The raw rewritings, structurally distinct, in the order {!select}
+   reads them, with the work every selection shares done at most once
+   per cover: key merging, then minimization of each distinct merged
+   query. [cv_prep.(i)] is cover [i]'s merged query's number and its
+   minimized form, on codes and spelled out. *)
+type covers = {
+  cv_tables : string array;  (* table name by number *)
+  cv_raw : coded array;
+  cv_prep : (int * (coded * Query.t) Lazy.t) Lazy.t array;
+}
+
+let prepare ~tables ~keys ~vars ~consts raws =
+  let distinct = Ktbl.create (List.length raws) in
+  let raw =
+    List.filter
+      (fun c ->
+        if Ktbl.mem distinct c then false
+        else begin
+          Ktbl.add distinct c ();
+          true
+        end)
+      raws
+    |> Array.of_list
+  in
+  let term x = if x >= 0 then vars.Vars.terms.(x) else consts.(-x - 1) in
+  let query c =
+    let atoms =
+      Array.map2
+        (fun tid args ->
+          Atom.atom tables.(tid) (List.map term (Array.to_list args)))
+        c.k_tids c.k_args
+    in
+    Query.make ~name:"rw"
+      ~head:(List.map term (Array.to_list c.k_head))
+      (Array.to_list atoms)
+  in
+  let sub = Array.make vars.Vars.count unset in
+  let merged = Ktbl.create 64 in
+  (* [Query.minimize] keeps a subsequence of the body's atoms, so the
+     minimized query's codes are those of the atoms it kept *)
+  let minimize c =
+    let q = query c in
+    let core = Query.minimize q in
+    let rec kept i atoms core =
+      match (atoms, core) with
+      | _, [] -> []
+      | a :: atoms, b :: core' ->
+          if a == b then i :: kept (i + 1) atoms core' else kept (i + 1) atoms core
+      | [], _ :: _ -> assert false
+    in
+    let kept = Array.of_list (kept 0 q.Query.body core.Query.body) in
+    ( {
+        k_tids = Array.map (fun i -> c.k_tids.(i)) kept;
+        k_args = Array.map (fun i -> c.k_args.(i)) kept;
+        k_head = c.k_head;
+      },
+      core )
+  in
+  let prep c =
+    lazy
+      (let m = merge_by_keys ~keys ~sub c in
+       match Ktbl.find_opt merged m with
+       | Some p -> p
+       | None ->
+           let p = (Ktbl.length merged, lazy (minimize m)) in
+           Ktbl.add merged m p;
+           p)
+  in
+  { cv_tables = tables; cv_raw = raw; cv_prep = Array.map prep raw }
 
 let covers ~cmg ~schema ~strees ?(max_covers = 800) q =
   let cm = Cm_graph.cm cmg in
   (* The head's variables are numbered first: they are the answer
      variables a cover's union-find keeps as representatives. *)
   let vars = Vars.create () in
+  let consts = ref [||] in
   let bind = function
-    | Atom.Var x -> Bvar (Vars.id vars x)
-    | Atom.Cst _ as c -> Bcst c
+    | Atom.Var x -> Vars.id vars x
+    | Atom.Cst _ as c -> (
+        match Array.find_index (Atom.equal_term c) !consts with
+        | Some i -> -i - 1
+        | None ->
+            consts := Array.append !consts [| c |];
+            -Array.length !consts)
   in
-  let head = List.map bind q.Query.head in
+  let head = Array.of_list (List.map bind q.Query.head) in
   let preferred = vars.Vars.count in
+  (* fresh variable [f<k>] is a variable like any other: a query
+     variable of that name is the same variable *)
+  let fresh_codes = ref [||] in
+  let fresh k =
+    let codes = !fresh_codes in
+    if k <= Array.length codes then codes.(k - 1)
+    else begin
+      let x = Vars.id vars ("f" ^ string_of_int k) in
+      fresh_codes := Array.append codes [| x |];
+      x
+    end
+  in
   (* Tables are numbered by their first s-tree, whose ISA classes then
-     stand for every s-tree of that table; [columns] reads a table's
-     columns once, when a cover first mentions it. *)
+     stand for every s-tree of that table. A table's columns are
+     numbered as options first mention them; [slots] reads the table's
+     own column list once, when a cover first mentions it. *)
   let tables = Hashtbl.create 16 in
   let first = Array.of_list strees in
   Array.iteri
@@ -485,14 +687,41 @@ let covers ~cmg ~schema ~strees ?(max_covers = 800) q =
         Hashtbl.add tables st.Stree.st_table (i, isa_rep_fn st))
     first;
   let tid (st : Stree.t) = fst (Hashtbl.find tables st.Stree.st_table) in
-  let column_lists =
+  let colnums = Array.map (fun _ -> Hashtbl.create 8) first in
+  let colnum i c =
+    let h = colnums.(i) in
+    match Hashtbl.find_opt h c with
+    | Some k -> k
+    | None ->
+        let k = Hashtbl.length h in
+        Hashtbl.add h c k;
+        k
+  in
+  let col st c = colnum (tid st) c in
+  let width i = Hashtbl.length colnums.(i) in
+  let slot_arrays =
+    Array.mapi
+      (fun i (st : Stree.t) ->
+        lazy
+          (Array.of_list
+             (List.map (colnum i)
+                (Schema.column_names
+                   (Schema.find_table_exn schema st.Stree.st_table)))))
+      first
+  in
+  let slots i = Lazy.force slot_arrays.(i) in
+  let key_arrays =
     Array.map
       (fun (st : Stree.t) ->
         lazy
-          (Schema.column_names (Schema.find_table_exn schema st.Stree.st_table)))
+          (let t = Schema.find_table_exn schema st.Stree.st_table in
+           List.mapi (fun i c -> (i, c)) (Schema.column_names t)
+           |> List.filter_map (fun (i, c) ->
+                  if List.mem c t.Schema.key then Some i else None)
+           |> Array.of_list))
       first
   in
-  let columns i = Lazy.force column_lists.(i) in
+  let keys i = Lazy.force key_arrays.(i) in
   let rep_ids = Hashtbl.create 16 in
   let rep_id (st : Stree.t) n =
     let r = snd (Hashtbl.find tables st.Stree.st_table) n in
@@ -521,10 +750,10 @@ let covers ~cmg ~schema ~strees ?(max_covers = 800) q =
       a_node = n;
       a_var = x;
       a_rep = rep;
-      a_ids = Option.map (List.mapi (fun k c -> (c, canon k))) ids;
+      a_ids = Option.map (List.mapi (fun k c -> (col st c, canon k))) ids;
     }
   in
-  let env = { tid; assign; bind } in
+  let env = { tid; col; assign; bind } in
   (* Classes asserted on each query variable: an option may only assign
      a variable to an s-tree node whose class is *comparable* (equal, or
      related by ISA) to every asserted class. Binding a Gateway-typed
@@ -575,13 +804,16 @@ let covers ~cmg ~schema ~strees ?(max_covers = 800) q =
       (fun a -> lazy (List.filter option_well_typed (options_for env cm strees a)))
       atoms
   in
+  let tuf = Tuf.create ~preferred in
   let results = ref [] in
   let count = ref 0 in
   let rec cover insts = function
     | [] ->
         if !count < max_covers then begin
           incr count;
-          match finalize ~vars ~preferred ~columns ~head (List.rev insts) with
+          match
+            finalize ~tuf ~vars ~width ~slots ~fresh ~head insts
+          with
           | Some rw -> results := rw :: !results
           | None -> ()
         end
@@ -627,45 +859,106 @@ let covers ~cmg ~schema ~strees ?(max_covers = 800) q =
         end
   in
   cover [] steps;
-  !results
+  prepare
+    ~tables:(Array.map (fun (st : Stree.t) -> st.Stree.st_table) first)
+    ~keys ~vars ~consts:!consts !results
 
-let select ~schema ?(required_tables = []) results =
+(* The order of [c]'s atoms by table, then by their arguments under
+   [f], ties kept in body order. *)
+let atom_order f c =
+  let args = Array.map (Array.map f) c.k_args in
+  let order = Array.init (Array.length c.k_tids) Fun.id in
+  let rec lex a b k =
+    if k = Array.length a then 0
+    else
+      let d = Int.compare a.(k) b.(k) in
+      if d <> 0 then d else lex a b (k + 1)
+  in
+  Array.stable_sort
+    (fun i j ->
+      let d = Int.compare c.k_tids.(i) c.k_tids.(j) in
+      if d <> 0 then d else lex args.(i) args.(j) 0)
+    order;
+  order
+
+(* The syntactic dedupe key: the body's atoms as a sorted multiset. *)
+let syntactic_key c =
+  let order = atom_order Fun.id c in
+  {
+    k_tids = Array.map (fun i -> c.k_tids.(i)) order;
+    k_args = Array.map (fun i -> c.k_args.(i)) order;
+    k_head = [||];
+  }
+
+(* A key that ignores the names of existential variables: atoms sorted
+   with existentials masked, then existentials numbered by first
+   occurrence in that order. A head term [x] stands as [2x], the [k]th
+   existential as [2k+1], so equal keys mean equal queries up to
+   renaming existentials: isomorphic, hence equivalent. *)
+let renaming_key c =
+  let fixed x = x < 0 || Array.exists (Int.equal x) c.k_head in
+  let order = atom_order (fun x -> if fixed x then 2 * x else -1) c in
+  let numbers = Hashtbl.create 16 in
+  let term x =
+    if fixed x then 2 * x
+    else
+      match Hashtbl.find_opt numbers x with
+      | Some k -> k
+      | None ->
+          let k = (2 * Hashtbl.length numbers) + 1 in
+          Hashtbl.add numbers x k;
+          k
+  in
+  {
+    k_tids = Array.map (fun i -> c.k_tids.(i)) order;
+    k_args = Array.map (fun i -> Array.map term c.k_args.(i)) order;
+    k_head = Array.map (fun x -> 2 * x) c.k_head;
+  }
+
+let select ?(required_tables = []) cv =
   (* The paper's elimination order: first drop rewritings that do not
      mention every correspondence-linked table (q'_1 of Example 3.4),
      then minimize and keep only maximal survivors (q'_2 vs q'_3). *)
-  let mentions_required (q : Query.t) =
+  let mentions_required c =
     List.for_all
       (fun t ->
-        List.exists (fun (a : Atom.t) -> String.equal a.Atom.pred t) q.Query.body)
+        Array.exists (fun tid -> String.equal cv.cv_tables.(tid) t) c.k_tids)
       required_tables
   in
-  let results = List.filter mentions_required results in
-  let results = List.map (merge_by_keys ~schema) results in
-  let minimized = List.map Query.minimize results in
+  (* Each distinct merged query is minimized once; a later cover whose
+     merged query is equal to an earlier one's adds nothing. *)
+  let merged_seen = Hashtbl.create 64 in
+  let minimized = ref [] in
+  Array.iteri
+    (fun i c ->
+      if mentions_required c then begin
+        let id, min = Lazy.force cv.cv_prep.(i) in
+        if not (Hashtbl.mem merged_seen id) then begin
+          Hashtbl.add merged_seen id ();
+          minimized := Lazy.force min :: !minimized
+        end
+      end)
+    cv.cv_raw;
   (* fast syntactic dedupe first, then the semantic one *)
-  let syntactic = Hashtbl.create 64 in
+  let syntactic = Ktbl.create 64 in
   let minimized =
     List.filter
-      (fun (q : Query.t) ->
-        let key =
-          String.concat "|"
-            (List.sort compare
-               (List.map (fun a -> Fmt.str "%a" Atom.pp a) q.Query.body))
-        in
-        if Hashtbl.mem syntactic key then false
+      (fun (c, _) ->
+        let key = syntactic_key c in
+        if Ktbl.mem syntactic key then false
         else begin
-          Hashtbl.replace syntactic key ();
+          Ktbl.replace syntactic key ();
           true
         end)
-      minimized
+      (List.rev !minimized)
   in
   (* A homomorphism from q' to q maps every table of q' to one of q's,
      so q ⊆ q' needs q' to mention no table q does not: the sorted
      table lists rule most pairs out before any search. *)
   let tabled =
     List.map
-      (fun (q : Query.t) ->
-        (q, List.sort_uniq compare (List.map (fun a -> a.Atom.pred) q.Query.body)))
+      (fun (c, (q : Query.t)) ->
+        (c, q, List.sort_uniq compare (List.map (fun a -> a.Atom.pred) q.Query.body)))
       minimized
   in
   let rec subset xs ys =
@@ -676,12 +969,28 @@ let select ~schema ?(required_tables = []) results =
         let c = compare x y in
         if c = 0 then subset xs' ys' else if c > 0 then subset xs ys' else false
   in
+  (* Keep the first query of each equivalence class. A query whose
+     renaming key an earlier query had is equivalent to that one, so to
+     a kept representative: it goes without a search. Minimized queries
+     are cores, and equivalent cores are isomorphic, so only a kept
+     query with the same multiset of tables can be equivalent. *)
+  let renamings = Ktbl.create 64 in
+  let shapes = Hashtbl.create 64 in
   let deduped =
     List.fold_left
-      (fun acc (q, t) ->
-        if List.exists (fun (q', t') -> t = t' && Query.equivalent q q') acc
-        then acc
-        else (q, t) :: acc)
+      (fun acc (c, q, t) ->
+        let key = renaming_key c in
+        if Ktbl.mem renamings key then acc
+        else begin
+          Ktbl.add renamings key ();
+          let shape = key.k_tids in
+          let same = Option.value ~default:[] (Hashtbl.find_opt shapes shape) in
+          if List.exists (Query.equivalent q) same then acc
+          else begin
+            Hashtbl.replace shapes shape (q :: same);
+            (q, t) :: acc
+          end
+        end)
       [] tabled
   in
   let maximal =
@@ -700,4 +1009,4 @@ let select ~schema ?(required_tables = []) results =
   List.map (fun (q, tables) -> { rw_query = q; rw_tables = tables }) maximal
 
 let rewrite ~cmg ~schema ~strees ?max_covers ?required_tables q =
-  select ~schema ?required_tables (covers ~cmg ~schema ~strees ?max_covers q)
+  select ?required_tables (covers ~cmg ~schema ~strees ?max_covers q)

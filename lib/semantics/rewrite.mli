@@ -39,7 +39,10 @@ val rewrite :
 
 type covers
 (** The raw rewritings of one query: every cover of its atoms by view
-    instances, before any filtering. *)
+    instances, structurally distinct, before any filtering. It also
+    holds the work every selection shares, done lazily and at most once
+    per cover: key merging, and minimization of each distinct merged
+    query. A [covers] value is not safe to select from concurrently. *)
 
 val covers :
   cmg:Smg_cm.Cm_graph.t ->
@@ -52,10 +55,9 @@ val covers :
     tables, so one search can serve several {!select}s — discovery
     relaxes a strict selection that keeps nothing. *)
 
-val select :
-  schema:Smg_relational.Schema.t ->
-  ?required_tables:string list ->
-  covers ->
-  result list
+val select : ?required_tables:string list -> covers -> result list
 (** The filtering half of {!rewrite}: the required-table filter, key
-    merging, minimization and the maximal-containment pruning. *)
+    merging, minimization and the maximal-containment pruning. A cover
+    structurally equal to an earlier one, and a cover whose merged
+    query equals an earlier one's, add nothing; the survivors and their
+    order are what filtering every cover would keep. *)

@@ -353,6 +353,112 @@ let test_builtin_digests () =
         (md5 out.Smg_serve.Render.dj_json))
     builtin_digests
 
+(* The generated discovery pool perfbench times on its [generated]
+   workload: sixteen fixed parameter vectors over ISA depth, reified
+   relationships, partOf chains and correspondence density. *)
+let pool_params =
+  List.init 16 (fun i ->
+      Smg_generate.Params.clamp
+        {
+          Smg_generate.Params.seed = 7 + i;
+          isa_depth = i mod 4;
+          n_roots = 3 + (i mod 3);
+          reify = i / 4;
+          partof = i mod 3;
+          attrs_per_class = 2;
+          corr_density = 0.5 +. (0.5 *. float_of_int (i mod 5) /. 4.);
+          scale = 200;
+        })
+
+(* MD5 of [mapdisc discover LABEL.smg --json --dedup], run in the
+   directory of [mapdisc generate ... --emit-dsl -o LABEL.smg] for each
+   pool vector, recorded before the run-wide rewrite memo and the
+   selection over distinct covers. gen_s21 and gen_s22 are the heaviest
+   rewriting inputs. *)
+let pool_digests =
+  [
+    ("gen_s7_i0_r0_p0_c50_n200", "4ad1cccc2876d9decc42fca9abcebb1a");
+    ("gen_s8_i1_r0_p1_c63_n200", "6699f1d306fd8c96072ac0cb72090c04");
+    ("gen_s9_i2_r0_p2_c75_n200", "e82c32073598ae8ad5d2328db37667b9");
+    ("gen_s10_i3_r0_p0_c88_n200", "a868edad493295101fd5e5701a9e25f2");
+    ("gen_s11_i0_r1_p1_c100_n200", "c19eea35fad71828e6d78c877921600a");
+    ("gen_s12_i1_r1_p2_c50_n200", "bf0d4db02a173362cf46d1ce7cb0fab9");
+    ("gen_s13_i2_r1_p0_c63_n200", "10e685caab7d7b91c3165f412fac4595");
+    ("gen_s14_i3_r1_p1_c75_n200", "4744e88345669811a06a58ccac6ddbd4");
+    ("gen_s15_i0_r2_p2_c88_n200", "bfebd662506b4754169797a5cdf156d4");
+    ("gen_s16_i1_r2_p0_c100_n200", "2f35fa413ac7ede266014749cfb1990f");
+    ("gen_s17_i2_r2_p1_c50_n200", "5410aa8f8b1f2b52975d346bb4ea7c79");
+    ("gen_s18_i3_r2_p2_c63_n200", "93da2ec175cc8deaf04ff6df47d7c05c");
+    ("gen_s19_i0_r3_p0_c75_n200", "71e30cea7a02b8d4805403826a82213f");
+    ("gen_s20_i1_r3_p1_c88_n200", "948a121057ba703687afa5bdeefe82b2");
+    ("gen_s21_i2_r3_p2_c100_n200", "0c7238a59fc98cd7ab0707441f343dae");
+    ("gen_s22_i3_r3_p0_c50_n200", "c5927318b923eac651acbf7ef309e264");
+  ]
+
+let test_pool_digests () =
+  Alcotest.(check (list string)) "every pool vector is pinned"
+    (List.map Smg_generate.Params.label pool_params)
+    (List.map fst pool_digests);
+  List.iter2
+    (fun p (label, digest) ->
+      let file = label ^ ".smg" in
+      let text = Smg_generate.Gen.dsl (Smg_generate.Gen.build p) in
+      let doc = Smg_dsl.Parser.parse text in
+      match Smg_serve.Registry.sides_of_doc doc with
+      | Error msg -> Alcotest.fail (label ^ ": " ^ msg)
+      | Ok (source, target) ->
+          let out =
+            Smg_serve.Render.discover_json ~meth:`Both ~dedup:true ~file ~source
+              ~target ~corrs:doc.Smg_dsl.Ast.doc_corrs ()
+          in
+          Alcotest.(check string) (label ^ " discover body digest") digest
+            (md5 out.Smg_serve.Render.dj_json))
+    pool_params pool_digests
+
+(* A fuel-budgeted pooled discovery: the candidates printed with
+   [Mapping.pp], whether the run was exact, and whether the fuel ran out
+   — at 1 and 4 domains, recorded before the rewrite memo became shared
+   by every task of a run. Rewriting spends no fuel, so sharing its
+   memo across tasks may not move what a budget buys. *)
+let bounded_digests =
+  [
+    ("3sdb.smg", 20_000, false, "99af999f9673faa02cd131b54b561f30");
+    ("3sdb.smg", 100_000, false, "891f0fc1ed8506509d2c23878ac2fa0a");
+    ("3sdb.smg", 300_000, true, "2b986a1d7019e2f4e5382a8dbffd98ce");
+    ("amalgam.smg", 100_000, false, "0f60370bd9b63caee626bd0233ed3541");
+    ("amalgam.smg", 300_000, true, "9690af3b66a3477365d3c04eaabef371");
+  ]
+
+let test_bounded_domains () =
+  List.iter
+    (fun (file, fuel, exact, digest) ->
+      let path = Filename.concat "scenarios" file in
+      let doc =
+        Smg_dsl.Parser.parse_file
+          (if Sys.file_exists path then path else Filename.concat "../../.." path)
+      in
+      let source, target =
+        Result.get_ok (Smg_serve.Registry.sides_of_doc doc)
+      in
+      List.iter
+        (fun domains ->
+          let what = Printf.sprintf "%s fuel %d, %d domain(s)" file fuel domains in
+          let budget = Smg_robust.Budget.create ~fuel () in
+          let o =
+            Smg_parallel.Pool.with_pool ~domains (fun pool ->
+                Discover.discover_bounded ~budget ~pool ~source ~target
+                  ~corrs:doc.Smg_dsl.Ast.doc_corrs ())
+          in
+          Alcotest.(check bool) (what ^ ": exact") exact o.Discover.o_exact;
+          Alcotest.(check bool) (what ^ ": fuel ran out") (not exact)
+            (Smg_robust.Budget.exhausted budget <> None);
+          Alcotest.(check string) (what ^ ": candidates digest") digest
+            (md5
+               (String.concat "\n"
+                  (List.map (Fmt.str "%a" Mapping.pp) o.Discover.o_mappings))))
+        [ 1; 4 ])
+    bounded_digests
+
 let suite =
   [
     ( "discover",
@@ -376,5 +482,9 @@ let suite =
         Alcotest.test_case "side validation" `Quick test_side_requires_stree_per_table;
         Alcotest.test_case "scenario discover digests" `Quick test_scenario_digests;
         Alcotest.test_case "built-in discover digests" `Quick test_builtin_digests;
+        Alcotest.test_case "generated pool discover digests" `Quick
+          test_pool_digests;
+        Alcotest.test_case "bounded discovery at 1 and 4 domains" `Quick
+          test_bounded_domains;
       ] );
   ]
