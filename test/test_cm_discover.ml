@@ -124,6 +124,115 @@ let test_no_corrs () =
     (List.length
        (Cm_discover.discover ~source:onto_a ~target:onto_b ~corrs:[] ()))
 
+(* The two ontologies of examples/ontology_alignment.ml. *)
+let shop_a =
+  Cml.make ~name:"shopA"
+    ~isas:[ { Cml.sub = "PremiumCustomer"; super = "Customer" } ]
+    ~binaries:
+      [
+        Cml.functional ~total:true "placedBy" ~src:"Order" ~dst:"Customer";
+        Cml.functional "shipsTo" ~src:"Order" ~dst:"Address";
+        Cml.functional ~kind:Cml.PartOf "lineOf" ~src:"LineItem" ~dst:"Order";
+        Cml.functional ~total:true "itemProduct" ~src:"LineItem" ~dst:"Product";
+      ]
+    [
+      Cml.cls ~id:[ "custid" ] "Customer" [ "custid"; "custname" ];
+      Cml.cls "PremiumCustomer" [ "tier" ];
+      Cml.cls ~id:[ "orderno" ] "Order" [ "orderno"; "odate" ];
+      Cml.cls ~id:[ "sku" ] "Product" [ "sku"; "pname"; "price" ];
+      Cml.cls ~id:[ "lineno" ] "LineItem" [ "lineno"; "qty" ];
+      Cml.cls ~id:[ "addr" ] "Address" [ "addr" ];
+    ]
+
+let shop_b =
+  Cml.make ~name:"shopB"
+    ~binaries:
+      [
+        Cml.functional ~total:true "boughtBy" ~src:"Purchase" ~dst:"Client";
+        Cml.functional ~kind:Cml.PartOf "entryOf" ~src:"Entry" ~dst:"Purchase";
+        Cml.functional ~total:true "entryGoods" ~src:"Entry" ~dst:"Goods";
+      ]
+    [
+      Cml.cls ~id:[ "clientid" ] "Client" [ "clientid"; "clientname" ];
+      Cml.cls ~id:[ "pno" ] "Purchase" [ "pno"; "pdate" ];
+      Cml.cls ~id:[ "gid" ] "Goods" [ "gid"; "gname"; "cost" ];
+      Cml.cls ~id:[ "eno" ] "Entry" [ "eno"; "amount" ];
+    ]
+
+(* Every discovery above and in examples/ontology_alignment.ml, pinned
+   as the MD5 of its ranked results: both queries, the exact score and
+   the covered correspondences, in rank order. *)
+let pinned_cases =
+  [
+    ( "functional pair",
+      onto_a,
+      onto_b,
+      [
+        c ~src:("Person", "pname") ~tgt:("Employee", "ename");
+        c ~src:("Department", "dname") ~tgt:("Unit", "uname");
+      ],
+      "6b8462eec3b30c97c7cbe79b5934798e" );
+    ( "partOf disambiguation",
+      onto_a,
+      onto_b,
+      [
+        c ~src:("Department", "dname") ~tgt:("Unit", "uname");
+        c ~src:("School", "sname") ~tgt:("Division", "divname");
+      ],
+      "c5b0f8415a0bf8d2ef85c324ce36844a" );
+    ( "many-many pair",
+      onto_a,
+      onto_b,
+      [
+        c ~src:("Person", "pname") ~tgt:("Employee", "ename");
+        c ~src:("Document", "doctitle") ~tgt:("Report", "rtitle");
+      ],
+      "605ca5a79461582da18ab2653a379a44" );
+    ( "no correspondences",
+      onto_a,
+      onto_b,
+      [],
+      "d41d8cd98f00b204e9800998ecf8427e" );
+    ( "customer of an order",
+      shop_a,
+      shop_b,
+      [
+        c ~src:("Customer", "custname") ~tgt:("Client", "clientname");
+        c ~src:("Order", "odate") ~tgt:("Purchase", "pdate");
+      ],
+      "2750b5c82c1262eda2c36f02b699df87" );
+    ( "product of a line item",
+      shop_a,
+      shop_b,
+      [
+        c ~src:("Product", "pname") ~tgt:("Goods", "gname");
+        c ~src:("LineItem", "qty") ~tgt:("Entry", "amount");
+        c ~src:("Order", "odate") ~tgt:("Purchase", "pdate");
+      ],
+      "4e07c642ba39f432dc8137d51ca0fd81" );
+  ]
+
+let results_digest rs =
+  let attr (cls, a) = cls ^ "." ^ a in
+  List.map
+    (fun (r : Cm_discover.result) ->
+      Fmt.str "%a | %a | %h | %s" Query.pp r.Cm_discover.src_query Query.pp
+        r.Cm_discover.tgt_query r.Cm_discover.score
+        (String.concat ", "
+           (List.map
+              (fun (k : Cm_discover.corr) ->
+                attr k.Cm_discover.cc_src ^ " -> " ^ attr k.Cm_discover.cc_tgt)
+              r.Cm_discover.covered)))
+    rs
+  |> String.concat "\n" |> Digest.string |> Digest.to_hex
+
+let test_result_digests () =
+  List.iter
+    (fun (label, source, target, corrs, digest) ->
+      Alcotest.(check string) (label ^ " results digest") digest
+        (results_digest (Cm_discover.discover ~source ~target ~corrs ())))
+    pinned_cases
+
 let suite =
   [
     ( "cm_discover",
@@ -133,5 +242,6 @@ let suite =
         Alcotest.test_case "many-many pair" `Quick test_many_many_pair;
         Alcotest.test_case "unknown attribute" `Quick test_unknown_attribute_rejected;
         Alcotest.test_case "no correspondences" `Quick test_no_corrs;
+        Alcotest.test_case "result digests" `Quick test_result_digests;
       ] );
   ]
