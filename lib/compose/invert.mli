@@ -1,15 +1,20 @@
 (** Reversal-based quasi-inverses of s-t tgd sets.
 
     The reversal of [∀x̄ φ(x̄,ȳ) → ∃z̄ ψ(x̄,z̄)] is
-    [∀x̄,z̄ ψ(x̄,z̄) → ∃ȳ φ(x̄,ȳ)]: exported data is migrated back, and
-    the source facts that produced it are recovered up to the
-    variables the original mapping never exported (those return as
-    existentials). This is the recovery sense of inversion (Arenas,
-    Pérez, Riveros, "The recovery of a schema mapping") — reversal
-    always yields a recovery, and composing a mapping with its
-    reversal round-trips each source fact to a homomorphic image of
-    itself. It is not the full quasi-inverse construction: no
-    disjunction, no inequality side-conditions. *)
+    [∀x̄,z̄ ψ(x̄,z̄) → ∃ȳ φ(x̄,ȳ)]: exported data is migrated back,
+    with the variables the original mapping never exported returning
+    as existentials.
+
+    The reversal is not always a recovery (Arenas, Pérez, Riveros,
+    "The recovery of a schema mapping"). When two tgds write the same
+    target table, as A(x) → R(x) and B(x) → R(x), their reversals
+    R(x) → A(x) and R(x) → B(x) send the source {A(1)} to
+    {A(1), B(1)}, which does not map back into it. What
+    [compose --invert --verify] checks is only that executing the
+    mapping composed with its reversal in one shot is
+    homomorphically equivalent to executing the two in sequence. This
+    is not the full quasi-inverse construction: no disjunction, no
+    inequality side-conditions. *)
 
 val reverse_tgd : Smg_cq.Dependency.tgd -> Smg_cq.Dependency.tgd
 (** Swap premise and conclusion, canonically renaming all variables

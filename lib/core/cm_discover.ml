@@ -1,11 +1,6 @@
-module Digraph = Smg_graph.Digraph
 module Steiner = Smg_graph.Steiner
-module Paths = Smg_graph.Paths
-module Cml = Smg_cm.Cml
-module Cardinality = Smg_cm.Cardinality
 module Cm_graph = Smg_cm.Cm_graph
 module Stree = Smg_semantics.Stree
-module Encode = Smg_semantics.Encode
 module Query = Smg_cq.Query
 
 type corr = { cc_src : string * string; cc_tgt : string * string }
@@ -19,17 +14,16 @@ type result = {
   score : float;
 }
 
-type options = {
-  max_path_len : int;
-  strict_partof : bool;
-  allow_lossy : bool;
-  max_candidates : int;
+let max_path_len = 8
+let max_candidates = 20
+
+type lifted = {
+  l_corr : corr;
+  l_snode : int;
+  l_sattr : string;
+  l_tnode : int;
+  l_tattr : string;
 }
-
-let default_options =
-  { max_path_len = 8; strict_partof = true; allow_lossy = true; max_candidates = 20 }
-
-type lifted = { l_corr : corr; l_snode : int; l_sattr : string; l_tnode : int; l_tattr : string }
 
 let lift cmg_s cmg_t corrs =
   let resolve cmg (cls, attr) =
@@ -51,249 +45,82 @@ let lift cmg_s cmg_t corrs =
       })
     corrs
 
-let uniq xs = List.sort_uniq compare xs
-
-let class_like_nodes cmg =
-  List.filter (Cm_graph.is_class_like cmg) (Digraph.nodes (Cm_graph.graph cmg))
-
-(* minimal functional trees over every root; no pre-selection here *)
-let minimal_trees cmg ~lossy ~roots ~terminals =
-  if terminals = [] then []
-  else
-    let cost = Cm_graph.steiner_cost cmg ~lossy ~pre_selected:(fun _ -> false) () in
-    Steiner.minimal_trees (Cm_graph.graph cmg) ~cost ~roots ~terminals
-
-(* paths with minimal direction reversals for a pair of marked nodes *)
-let lossy_paths cmg ~max_len ~src ~dst =
-  let graph = Cm_graph.graph cmg in
-  let ok (e : Cm_graph.edge_lbl Digraph.edge) =
-    Cm_graph.is_connection_edge e.Digraph.lbl
+(* One side's candidate CSGs: the minimal trees over every class-like
+   root, lossy edges allowed and nothing pre-selected (there are no
+   tables), plus, for two marked nodes, the minimally-lossy paths
+   between them — a many-many connection can be a path. *)
+let csgs cmg marked =
+  let marked = List.sort_uniq compare marked in
+  let cost =
+    Cm_graph.steiner_cost cmg ~lossy:true ~pre_selected:(fun _ -> false) ()
   in
-  let score (p : _ Paths.path) =
-    float_of_int
-      ((1000 * Cm_graph.reversals cmg p.Paths.edge_ids)
-      + List.length p.Paths.edge_ids)
+  List.map (Csg.of_tree cmg)
+    (Csg.minimal_trees cmg ~cost ~terminals:marked).Steiner.trees
+  @
+  match marked with
+  | [ a; b ] -> Csg.lossy_paths cmg ~max_len:max_path_len ~src:a ~dst:b
+  | _ -> []
+
+(* A source CSG [d1] against a target CSG [d2]: both consistent, every
+   correspondence covered, then the pairwise shape and (strict) partOf
+   checks of {!Csg.compatible}. *)
+let pair cmg_s cmg_t lifted (d1 : Csg.t) (d2 : Csg.t) =
+  let covers l =
+    List.mem l.l_snode d1.c_nodes && List.mem l.l_tnode d2.c_nodes
   in
-  Paths.best_paths graph ~src ~dst ~max_len ~ok ~score
+  if
+    Cm_graph.consistent_subgraph cmg_s d1.c_edges
+    && List.for_all covers lifted
+  then
+    Csg.compatible ~strict_partof:true ~source:cmg_s ~target:cmg_t d1 d2
+      ~penalty:(d1.c_cost +. d2.c_cost)
+      (List.map (fun l -> (l.l_snode, l.l_tnode)) lifted)
+    |> Option.map (fun score ->
+           {
+             src_query =
+               Csg.query cmg_s d1
+                 (List.map (fun l -> (l.l_snode, l.l_sattr)) lifted);
+             tgt_query =
+               Csg.query cmg_t d2
+                 (List.map (fun l -> (l.l_tnode, l.l_tattr)) lifted);
+             covered = List.map (fun l -> l.l_corr) lifted;
+             score;
+           })
+  else None
 
-(* path between two nodes within an edge set (traversal ids) *)
-let subpath cmg edge_ids a b =
-  if a = b then Some []
-  else begin
-    let g = Cm_graph.graph cmg in
-    let adj = Hashtbl.create 16 in
-    let add v x =
-      Hashtbl.replace adj v (x :: Option.value ~default:[] (Hashtbl.find_opt adj v))
-    in
-    List.iter
-      (fun id ->
-        let e = Digraph.edge g id in
-        add e.Digraph.src (id, e.Digraph.dst);
-        match Cm_graph.inverse_edge cmg id with
-        | Some inv -> add e.Digraph.dst (inv, e.Digraph.src)
-        | None -> ())
-      (uniq edge_ids);
-    let seen = Hashtbl.create 16 in
-    Hashtbl.replace seen a ();
-    let rec bfs frontier =
-      match frontier with
-      | [] -> None
-      | _ -> (
-          let next =
-            List.concat_map
-              (fun (v, path) ->
-                List.filter_map
-                  (fun (id, w) ->
-                    if Hashtbl.mem seen w then None
-                    else begin
-                      Hashtbl.replace seen w ();
-                      Some (w, id :: path)
-                    end)
-                  (Option.value ~default:[] (Hashtbl.find_opt adj v)))
-              frontier
-          in
-          match List.find_opt (fun (w, _) -> w = b) next with
-          | Some (_, p) -> Some (List.rev p)
-          | None -> bfs next)
-    in
-    bfs [ (a, []) ]
-  end
-
-let leq_shape a b =
-  let open Cardinality in
-  match (a, b) with
-  | OneOne, _ -> true
-  | ManyOne, (ManyOne | ManyMany) -> true
-  | OneMany, (OneMany | ManyMany) -> true
-  | ManyMany, ManyMany -> true
-  | (ManyOne | OneMany | ManyMany), _ -> false
-
-let is_partof cmg ids =
-  let g = Cm_graph.graph cmg in
-  let non_isa =
-    List.filter
-      (fun id ->
-        match (Digraph.edge g id).Digraph.lbl.Cm_graph.kind with
-        | Cm_graph.Isa | Cm_graph.IsaInv -> false
-        | _ -> true)
-      ids
-  in
-  non_isa <> []
-  && List.for_all
-       (fun id -> (Digraph.edge g id).Digraph.lbl.Cm_graph.sem = Cml.PartOf)
-       non_isa
-
-let discover ?(options = default_options) ~source ~target ~corrs () =
+let discover ~source ~target ~corrs () =
   let cmg_s = Cm_graph.compile source and cmg_t = Cm_graph.compile target in
   let lifted = lift cmg_s cmg_t corrs in
-  if lifted = [] then []
-  else begin
-    let marked_t = uniq (List.map (fun l -> l.l_tnode) lifted) in
-    let marked_s = uniq (List.map (fun l -> l.l_snode) lifted) in
-    let tgt_csgs =
-      List.map
-        (fun (t : Steiner.tree) ->
-          ( Steiner.tree_nodes (Cm_graph.graph cmg_t) t,
-            t.Steiner.edge_ids,
-            t.Steiner.cost ))
-        (minimal_trees cmg_t ~lossy:options.allow_lossy
-           ~roots:(class_like_nodes cmg_t) ~terminals:marked_t)
-      @
-      (* a two-node many-many target connection can also be a path *)
-      (match marked_t with
-      | [ a; b ] ->
-          List.map
-            (fun (p : _ Paths.path) ->
-              ( uniq p.Paths.nodes,
-                p.Paths.edge_ids,
-                float_of_int (List.length p.Paths.edge_ids) ))
-            (lossy_paths cmg_t ~max_len:options.max_path_len ~src:a ~dst:b)
-      | _ -> [])
-    in
-    let src_csgs =
-      List.map
-        (fun (t : Steiner.tree) ->
-          ( Steiner.tree_nodes (Cm_graph.graph cmg_s) t,
-            t.Steiner.edge_ids,
-            t.Steiner.cost ))
-        (minimal_trees cmg_s ~lossy:options.allow_lossy
-           ~roots:(class_like_nodes cmg_s) ~terminals:marked_s)
-      @
-      (match marked_s with
-      | [ a; b ] ->
-          List.map
-            (fun (p : _ Paths.path) ->
-              ( uniq p.Paths.nodes,
-                p.Paths.edge_ids,
-                float_of_int (List.length p.Paths.edge_ids) ))
-            (lossy_paths cmg_s ~max_len:options.max_path_len ~src:a ~dst:b)
-      | _ -> [])
-    in
-    let candidates =
-      List.concat_map
-        (fun (t_nodes, t_edges, t_cost) ->
-          if not (Cm_graph.consistent_subgraph cmg_t t_edges) then []
-          else
-            List.filter_map
-              (fun (s_nodes, s_edges, s_cost) ->
-                if not (Cm_graph.consistent_subgraph cmg_s s_edges) then None
-                else begin
-                  let covered =
-                    List.filter
-                      (fun l ->
-                        List.mem l.l_snode s_nodes && List.mem l.l_tnode t_nodes)
-                      lifted
-                  in
-                  if List.length covered < List.length lifted then None
-                  else begin
-                    (* pairwise compatibility *)
-                    let penalty = ref (s_cost +. t_cost) in
-                    let ok =
-                      List.for_all
-                        (fun la ->
-                          List.for_all
-                            (fun lb ->
-                              if
-                                la.l_snode >= lb.l_snode
-                                || la.l_tnode = lb.l_tnode
-                              then true
-                              else
-                                match
-                                  ( subpath cmg_s s_edges la.l_snode lb.l_snode,
-                                    subpath cmg_t t_edges la.l_tnode lb.l_tnode
-                                  )
-                                with
-                                | Some sp, Some tp ->
-                                    let ss = Cm_graph.path_shape cmg_s sp in
-                                    let ts = Cm_graph.path_shape cmg_t tp in
-                                    leq_shape ss ts
-                                    &&
-                                    (if
-                                       is_partof cmg_t tp
-                                       && not (is_partof cmg_s sp)
-                                     then
-                                       if options.strict_partof then false
-                                       else begin
-                                         penalty := !penalty +. 5.;
-                                         true
-                                       end
-                                     else true)
-                                | _, _ -> true)
-                            covered)
-                        covered
-                    in
-                    if not ok then None
-                    else begin
-                      let mk cmg nodes edges get_node get_attr =
-                        Encode.query_of_csg cmg
-                          {
-                            Encode.csg_nodes = nodes;
-                            csg_edges = edges;
-                            csg_outputs =
-                              List.mapi
-                                (fun i l ->
-                                  (get_node l, get_attr l, Printf.sprintf "v%d" i))
-                                covered;
-                            csg_anchor = None;
-                          }
-                      in
-                      Some
-                        {
-                          src_query =
-                            mk cmg_s s_nodes s_edges
-                              (fun l -> l.l_snode)
-                              (fun l -> l.l_sattr);
-                          tgt_query =
-                            mk cmg_t t_nodes t_edges
-                              (fun l -> l.l_tnode)
-                              (fun l -> l.l_tattr);
-                          covered = List.map (fun l -> l.l_corr) covered;
-                          score = !penalty;
-                        }
-                    end
-                  end
-                end)
-              src_csgs)
-        tgt_csgs
-    in
-    (* dedupe by query equivalence *)
-    let deduped =
-      List.fold_left
-        (fun acc r ->
-          if
-            List.exists
-              (fun r' ->
-                Query.equivalent r.src_query r'.src_query
-                && Query.equivalent r.tgt_query r'.tgt_query)
-              acc
-          then acc
-          else r :: acc)
-        [] candidates
-    in
-    List.sort (fun a b -> compare a.score b.score) deduped
-    |> List.filteri (fun i _ -> i < options.max_candidates)
-  end
+  let tgt_csgs = csgs cmg_t (List.map (fun l -> l.l_tnode) lifted) in
+  let src_csgs = csgs cmg_s (List.map (fun l -> l.l_snode) lifted) in
+  let candidates =
+    List.concat_map
+      (fun (d2 : Csg.t) ->
+        if Cm_graph.consistent_subgraph cmg_t d2.c_edges then
+          List.filter_map (fun d1 -> pair cmg_s cmg_t lifted d1 d2) src_csgs
+        else [])
+      tgt_csgs
+  in
+  (* dedupe by query equivalence *)
+  let deduped =
+    List.fold_left
+      (fun acc r ->
+        if
+          List.exists
+            (fun r' ->
+              Query.equivalent r.src_query r'.src_query
+              && Query.equivalent r.tgt_query r'.tgt_query)
+            acc
+        then acc
+        else r :: acc)
+      [] candidates
+  in
+  List.sort (fun a b -> compare a.score b.score) deduped
+  |> List.filteri (fun i _ -> i < max_candidates)
 
 let pp_result ppf r =
-  Fmt.pf ppf "@[<v2>cm-mapping (score %.2f):@,src: %a@,tgt: %a@]" r.score
-    Query.pp r.src_query Query.pp r.tgt_query
+  (* Query.pp opens no box: each query gets its own, or every comma in
+     it would break the vertical box *)
+  Fmt.pf ppf
+    "@[<v2>cm-mapping (score %.2f):@,src: @[<hov2>%a@]@,tgt: @[<hov2>%a@]@]"
+    r.score Query.pp r.src_query Query.pp r.tgt_query

@@ -43,9 +43,6 @@ type options = {
   use_partof : bool;       (** ablation: partOf category filtering at all *)
   use_shapes : bool;       (** ablation: cardinality-shape compatibility *)
   use_preselection : bool; (** ablation: pre-selected s-tree edges are free *)
-  outer_on_optional : bool;
-      (** §6 future work: flag mappings whose source connection traverses
-          a minimum-cardinality-0 edge as outer joins *)
 }
 
 val default_options : options

@@ -237,9 +237,6 @@ let minimal_trees_in ?budget s ~roots ~terminals =
     let solve, exact = solve_all_in ?budget s ~terminals in
     { trees = keep_minimal (List.filter_map solve roots); exact }
 
-let minimal_trees g ~cost ~roots ~terminals =
-  (minimal_trees_bounded g ~cost ~roots ~terminals).trees
-
 let tree_nodes g t =
   let tbl = Hashtbl.create 16 in
   Hashtbl.replace tbl t.root ();

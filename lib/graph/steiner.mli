@@ -50,14 +50,6 @@ val minimal_trees_bounded :
     within budget; when it did not, the kept trees are shortest-path
     unions and their costs upper-bound the optimum by at most 2×. *)
 
-val minimal_trees :
-  'e Digraph.t ->
-  cost:('e Digraph.edge -> float option) ->
-  roots:int list ->
-  terminals:int list ->
-  tree list
-(** [minimal_trees_bounded] without a budget: always exact. *)
-
 type 'e context
 (** Shared all-pairs shortest-path state for one (graph, cost) pair.
     The matrix is computed lazily on first use, under a mutex, and is

@@ -114,20 +114,24 @@ let test_steiner_unreachable () =
 
 let test_minimal_trees_ties () =
   (* Symmetric graph: both roots 1 and 2 give cost-1 trees to reach 3. *)
-  let trees =
-    Steiner.minimal_trees diamond ~cost:unit_cost ~roots:[ 1; 2 ]
+  let sol =
+    Steiner.minimal_trees_bounded diamond ~cost:unit_cost ~roots:[ 1; 2 ]
       ~terminals:[ 3 ]
   in
+  Alcotest.(check bool) "unbudgeted search is exact" true sol.Steiner.exact;
+  let trees = sol.Steiner.trees in
   Alcotest.(check int) "two tied minimal trees" 2 (List.length trees);
   List.iter
     (fun t -> Alcotest.(check (float 1e-9)) "cost 1" 1. t.Steiner.cost)
     trees
 
 let test_minimal_trees_prefers_cheaper_root () =
-  let trees =
-    Steiner.minimal_trees diamond ~cost:unit_cost ~roots:[ 0; 1 ]
+  let sol =
+    Steiner.minimal_trees_bounded diamond ~cost:unit_cost ~roots:[ 0; 1 ]
       ~terminals:[ 3 ]
   in
+  Alcotest.(check bool) "unbudgeted search is exact" true sol.Steiner.exact;
+  let trees = sol.Steiner.trees in
   (* Root 0 via shortcut costs 1, root 1 costs 1: both minimal. *)
   Alcotest.(check int) "both roots tie" 2 (List.length trees)
 

@@ -158,9 +158,13 @@ let test_steiner_fallback () =
 
 let test_steiner_bounded_matches_exact () =
   let g = line_graph () in
-  let exact =
-    Steiner.minimal_trees g ~cost:unit_cost ~roots:[ 0 ] ~terminals:[ 2; 3 ]
+  let unbudgeted =
+    Steiner.minimal_trees_bounded g ~cost:unit_cost ~roots:[ 0 ]
+      ~terminals:[ 2; 3 ]
   in
+  Alcotest.(check bool) "unbudgeted search is exact" true
+    unbudgeted.Steiner.exact;
+  let exact = unbudgeted.Steiner.trees in
   let sol =
     Steiner.minimal_trees_bounded
       ~budget:(Budget.create ~fuel:1_000_000 ())
