@@ -3,7 +3,10 @@
 
    Usage:
      experiments            — everything
-     experiments table1     — dataset characteristics + generation time
+     experiments table1 [--json]
+                            — dataset characteristics + generation time;
+                              --json writes the time column's rows to
+                              BENCH_table1.json
      experiments fig6       — average precision per domain
      experiments fig7       — average recall per domain
      experiments cases      — per-case breakdown
@@ -131,14 +134,46 @@ let write_rows bench rows =
    3 runs of [f], continued until 0.1 s has passed in total or 50 runs
    are done *)
 let measure f =
-  let x, s = Smg_exchange.Obs.time f in
+  let x, s = Smg_robust.Clock.time f in
   let rec go acc n total =
     if n >= 50 || (n >= 3 && total >= 0.1) then acc
     else
-      let _, s = Smg_exchange.Obs.time f in
+      let _, s = Smg_robust.Clock.time f in
       go (s :: acc) (n + 1) (total +. s)
   in
   (x, spread_of (List.map (fun s -> Float.round (1e9 *. s)) (go [ s ] 1 s)))
+
+(* table1: Table 1 as printed, and its time column as rows: each
+   domain's semantic and RIC-based mapping generation over all of its
+   cases, one [measure] per method *)
+let table1_report json =
+  table1 ();
+  if json then begin
+    let module E = Smg_eval.Experiments in
+    let rows =
+      List.concat_map
+        (fun (scen : Smg_eval.Scenario.t) ->
+          let cases = scen.Smg_eval.Scenario.cases in
+          let domain =
+            String.lowercase_ascii scen.Smg_eval.Scenario.scen_name
+          in
+          List.map
+            (fun (kind, meth) ->
+              let _, t =
+                measure (fun () ->
+                    List.iter (fun case -> ignore (E.run_method kind scen case))
+                      cases)
+              in
+              Fmt.pr "%-8s %-8s %9.3f ms over %d run(s)@." domain meth
+                (t.median /. 1e6) t.runs;
+              row ~size:(List.length cases)
+                (Printf.sprintf "table1/%s/%s" domain meth)
+                "ns" t)
+            [ (E.Semantic, "semantic"); (E.Ric_based, "ric") ])
+        (Smg_eval.Datasets.all ())
+    in
+    write_rows "table1" rows
+  end
 
 let builtin name =
   List.find
@@ -503,7 +538,7 @@ let incremental json smoke seed gen_tuples =
            timed apply *)
         Gc.full_major ();
         let (st', _), delta_secs =
-          Smg_exchange.Obs.time (fun () ->
+          Smg_robust.Clock.time (fun () ->
               match Maintain.apply st batch with
               | Ok r -> r
               | Error m -> failwith ("apply: " ^ m))
@@ -511,7 +546,7 @@ let incremental json smoke seed gen_tuples =
         let final = Maintain.source st' in
         Gc.full_major ();
         let rep, rebuild_secs =
-          Smg_exchange.Obs.time (fun () ->
+          Smg_robust.Clock.time (fun () ->
               match Engine.execute compiled final with
               | Engine.Complete r -> r
               | _ -> failwith "rebuild did not complete")
@@ -910,9 +945,9 @@ let serve_load json smoke domains clients =
   in
   let disc_path scen = Printf.sprintf "/scenarios/%s/discover" scen in
   let timed_post p =
-    let t0 = Unix.gettimeofday () in
-    let status, _ = http_request ~port "POST" p "" in
-    let dt = Unix.gettimeofday () -. t0 in
+    let (status, _), dt =
+      Smg_robust.Clock.time (fun () -> http_request ~port "POST" p "")
+    in
     if status <> 200 then failwith (Printf.sprintf "%s -> %d" p status);
     dt
   in
@@ -960,17 +995,16 @@ let serve_load json smoke domains clients =
      scenarios concurrently *)
   let reqs_per_client = if smoke then 10 else 40 in
   let scen_arr = Array.of_list scens in
-  let t0 = Unix.gettimeofday () in
-  let workers =
-    List.init clients (fun c ->
-        Domain.spawn (fun () ->
-            for i = 0 to reqs_per_client - 1 do
-              let scen = scen_arr.((c + i) mod Array.length scen_arr) in
-              ignore (timed_post (path scen))
-            done))
+  let (), wall =
+    Smg_robust.Clock.time (fun () ->
+        List.init clients (fun c ->
+            Domain.spawn (fun () ->
+                for i = 0 to reqs_per_client - 1 do
+                  let scen = scen_arr.((c + i) mod Array.length scen_arr) in
+                  ignore (timed_post (path scen))
+                done))
+        |> List.iter Domain.join)
   in
-  List.iter Domain.join workers;
-  let wall = Unix.gettimeofday () -. t0 in
   let total = clients * reqs_per_client in
   let rps = float_of_int total /. wall in
   Fmt.pr "@.throughput: %d request(s) over %d client(s) in %.2f s = %.1f \
@@ -1046,7 +1080,7 @@ let robust json smoke =
       cases
   in
   let time budget =
-    Float.round (1e9 *. snd (Smg_exchange.Obs.time (discover budget)))
+    Float.round (1e9 *. snd (Smg_robust.Clock.time (discover budget)))
   in
   (* a discarded pass first: a process's first ~0.1 s of runs read up
      to 10% slower while its major heap grows *)
@@ -1264,7 +1298,12 @@ let () =
     (Cmd.eval
        (Cmd.group ~default info
           [
-            cmd_of "table1" "Test-data characteristics (paper Table 1)" table1;
+            Cmd.v
+              (Cmd.info "table1"
+                 ~doc:
+                   "Test-data characteristics and generation time (paper \
+                    Table 1)")
+              Term.(const table1_report $ json_flag "table1");
             cmd_of "fig6" "Average precision per domain (paper Figure 6)" fig6;
             cmd_of "fig7" "Average recall per domain (paper Figure 7)" fig7;
             cmd_of "cases" "Per-case precision/recall breakdown" cases;

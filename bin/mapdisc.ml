@@ -558,7 +558,7 @@ let run_exchange file scenario size seed engine no_laconic core print_data
             rep.Smg_exchange.Engine.r_target)
     | `Chase -> (
         let outcome, secs =
-          Smg_exchange.Obs.time (fun () ->
+          Smg_robust.Clock.time (fun () ->
               Smg_cq.Chase.exchange ~source ~target ~mappings src_inst)
         in
         match outcome with
@@ -576,7 +576,7 @@ let run_exchange file scenario size seed engine no_laconic core print_data
     else begin
       let before = Smg_relational.Instance.total_tuples out in
       let cored, secs =
-        Smg_exchange.Obs.time (fun () -> Smg_verify.Icore.core out)
+        Smg_robust.Clock.time (fun () -> Smg_verify.Icore.core out)
       in
       Fmt.pr "core: %d -> %d tuple(s) (%.3f ms)@.@." before
         (Smg_relational.Instance.total_tuples cored)

@@ -2,8 +2,8 @@ module Schema = Smg_relational.Schema
 module Instance = Smg_relational.Instance
 module Dependency = Smg_cq.Dependency
 module Budget = Smg_robust.Budget
+module Clock = Smg_robust.Clock
 module Engine = Smg_exchange.Engine
-module Obs = Smg_exchange.Obs
 module Equiv = Smg_verify.Equiv
 
 type hop = {
@@ -122,13 +122,13 @@ let verify ?budget ?pool ?laconic hops ~exec inst =
   | first :: _ ->
       let last = List.nth hops (List.length hops - 1) in
       let seq, seq_s =
-        Obs.time (fun () -> sequential ?budget ?pool ?laconic hops inst)
+        Clock.time (fun () -> sequential ?budget ?pool ?laconic hops inst)
       in
       (match seq with
       | Error e -> Error e
       | Ok seq ->
           let comp, comp_s =
-            Obs.time (fun () ->
+            Clock.time (fun () ->
                 one_shot ?budget ?pool ?laconic ~source:first.h_source
                   ~target:last.h_target ~exec inst)
           in

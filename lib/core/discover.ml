@@ -517,8 +517,7 @@ let provenance run (d1 : Csg.t) (d2 : Csg.t) ~outer ~uncovered =
     ]
   @ (if outer then
        [
-         "outer join recommended: merged sibling subclasses (or optional \
-          participation)";
+         "outer join recommended: merged sibling subclasses";
        ]
      else [])
   @

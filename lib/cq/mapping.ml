@@ -292,7 +292,11 @@ let is_trivial m =
   && List.length (tables_of m.tgt_query) <= 1
 
 let pp ppf m =
-  Fmt.pf ppf "@[<v2>%s (score %.2f%s):@,src: %a@,tgt: %a@,covers: %a%a@]"
+  (* Query.pp opens no box: each query, and the covers list, gets its
+     own, or every comma in it would break the vertical box *)
+  Fmt.pf ppf
+    "@[<v2>%s (score %.2f%s):@,src: @[<hov2>%a@]@,tgt: @[<hov2>%a@]@,\
+     covers: @[<hov2>%a@]%a@]"
     m.m_name m.score
     (if m.outer then ", outer" else "")
     Query.pp m.src_query Query.pp m.tgt_query

@@ -7,6 +7,7 @@ module Engine = Smg_exchange.Engine
 module Plan = Smg_exchange.Plan
 module Obs = Smg_exchange.Obs
 module Stores = Engine.Stores
+module Clock = Smg_robust.Clock
 module Fault = Smg_robust.Fault
 
 (* Hash tables keyed on interned tuples, hashed like the columnar
@@ -583,7 +584,7 @@ let load st acc inst =
   List.iter
     (fun pi ->
       let (), dt =
-        Obs.time (fun () ->
+        Clock.time (fun () ->
             Engine.enumerate ~src:lookup pi.pi_low pi.pi_stats
               ~sink:(fun env -> record_trigger st acc pi env))
       in
@@ -757,13 +758,13 @@ let init ?shards compiled inst =
         }
       in
       let acc = fresh_acc () in
-      let t0 = Unix.gettimeofday () in
-      load st acc inst;
-      if egd_fixpoint st acc ~full:true then full_rebuild st acc
-      else prewarm_variants st;
-      st.ms_totals <-
-        add_counters st.ms_totals
-          (counters_of acc (Unix.gettimeofday () -. t0));
+      let (), dt =
+        Clock.time (fun () ->
+            load st acc inst;
+            if egd_fixpoint st acc ~full:true then full_rebuild st acc
+            else prewarm_variants st)
+      in
+      st.ms_totals <- add_counters st.ms_totals (counters_of acc dt);
       st
     with
     | st -> Ok st
@@ -813,7 +814,7 @@ let apply ?fault st batch =
       (match fault with
       | Some f -> Fault.fire f Fault.Delta_apply
       | None -> ());
-      let t0 = Unix.gettimeofday () in
+      let t0 = Clock.now () in
       let acc = fresh_acc () in
       match
         validate st batch;
@@ -860,7 +861,7 @@ let apply ?fault st batch =
         List.iter2
           (fun pi variants ->
             let (), dt =
-              Obs.time (fun () ->
+              Clock.time (fun () ->
                   List.iter
                     (fun vi ->
                       match vi.pi_plan.Plan.p_scans with
@@ -896,7 +897,7 @@ let apply ?fault st batch =
       with
       | () ->
           st.ms_batches <- st.ms_batches + 1;
-          let c = counters_of acc (Unix.gettimeofday () -. t0) in
+          let c = counters_of acc (Clock.now () -. t0) in
           st.ms_totals <- add_counters st.ms_totals c;
           Ok (st, c)
       | exception Invalid msg -> Error msg  (* nothing mutated: not poisoned *)

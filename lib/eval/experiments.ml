@@ -69,15 +69,12 @@ let run_semantic_bounded ?budget ?pool (scen : Scenario.t) (case : Scenario.case
   in
   { o with Discover.o_mappings = kept }
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
 let run_case scen case =
   List.map
     (fun kind ->
-      let generated, seconds = time (fun () -> run_method kind scen case) in
+      let generated, seconds =
+        Smg_robust.Clock.time (fun () -> run_method kind scen case)
+      in
       {
         cr_case = case.Scenario.case_name;
         cr_method = kind;

@@ -5,6 +5,7 @@ module Intern = Smg_relational.Intern
 module Colstore = Smg_relational.Colstore
 module Dependency = Smg_cq.Dependency
 module Budget = Smg_robust.Budget
+module Clock = Smg_robust.Clock
 
 (* The execution substrate: every tuple cell is an interned int code
    ({!Smg_relational.Intern} — constants non-negative, labelled nulls
@@ -1155,7 +1156,7 @@ let execute ?budget ?fault ?pool ?shards ?(max_rounds = 100) compiled inst =
     let stats =
       List.map (fun (ip : iplan) -> (ip.ip_name, Obs.fresh_tstats ())) iplans
     in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now () in
     let egd_merges = ref 0 in
     let rounds = ref 1 in
     let complete = ref true in
@@ -1166,7 +1167,7 @@ let execute ?budget ?fault ?pool ?shards ?(max_rounds = 100) compiled inst =
          (fun ip (_, st) ->
            step ();
            let (), dt =
-             Obs.time (fun () ->
+             Clock.time (fun () ->
                  match pool with
                  | Some pool -> eval_plan_parallel pool ?budget e ip st
                  | None -> eval_plan ?budget e ip st)
@@ -1193,7 +1194,7 @@ let execute ?budget ?fault ?pool ?shards ?(max_rounds = 100) compiled inst =
                  (fun (ip : iplan) (_, st) ->
                    step ();
                    let (), dt =
-                     Obs.time (fun () ->
+                     Clock.time (fun () ->
                          Array.iteri
                            (fun i (sc : iscan) ->
                              match Hashtbl.find_opt deltas sc.is_pred with
@@ -1226,7 +1227,7 @@ let execute ?budget ?fault ?pool ?shards ?(max_rounds = 100) compiled inst =
               List.map (fun (name, st) -> (name, Obs.snapshot st)) stats;
             r_egd_merges = !egd_merges;
             r_sweep_dropped = dropped;
-            r_seconds = Unix.gettimeofday () -. t0;
+            r_seconds = Clock.now () -. t0;
             r_shards = shard_view e;
           }
         in

@@ -77,8 +77,3 @@ let pp_int_array ppf a =
 let pp_shard_view ppf v =
   Fmt.pf ppf "shards %d  tuples [%a]  rot [%a]  intern pool %d" v.sv_shards
     pp_int_array v.sv_tuples pp_int_array v.sv_rot v.sv_intern_pool
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let x = f () in
-  (x, Unix.gettimeofday () -. t0)

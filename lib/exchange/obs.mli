@@ -1,4 +1,6 @@
-(** Observability: per-tgd execution counters and wall-clock timing.
+(** Observability: per-tgd execution counters and timing. Every
+    duration here is measured on {!Smg_robust.Clock} (CLOCK_MONOTONIC);
+    time a thunk with {!Smg_robust.Clock.time}.
 
     The mutable {!tstats} accumulator is strictly per-run scratch state:
     the engine allocates a fresh one per plan per execution and never
@@ -15,7 +17,7 @@ type tstats = {
   mutable st_satisfied : int;  (** triggers already satisfied *)
   mutable st_emitted : int;  (** target tuples actually inserted *)
   mutable st_nulls : int;  (** labelled nulls minted *)
-  mutable st_seconds : float;  (** wall-clock time in this plan *)
+  mutable st_seconds : float;  (** seconds spent in this plan *)
 }
 
 val fresh_tstats : unit -> tstats
@@ -50,6 +52,3 @@ type shard_view = {
 }
 
 val pp_shard_view : Format.formatter -> shard_view -> unit
-
-val time : (unit -> 'a) -> 'a * float
-(** [time f] is [(f (), seconds)] by [Unix.gettimeofday]. *)

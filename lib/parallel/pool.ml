@@ -210,10 +210,10 @@ let drain_timeout t ~seconds =
   if t.size <= 1 then true
   else begin
     while try_work t 0 do () done;
-    let give_up = Unix.gettimeofday () +. Float.max 0. seconds in
+    let give_up = Smg_robust.Clock.now () +. Float.max 0. seconds in
     let rec wait () =
       if Atomic.get t.pending <= 0 then true
-      else if Unix.gettimeofday () >= give_up then false
+      else if Smg_robust.Clock.now () >= give_up then false
       else begin
         while try_work t 0 do () done;
         if Atomic.get t.pending <= 0 then true

@@ -1,24 +1,13 @@
 type reason = Fuel | Deadline
 
-(* The deadline is a relative allowance drained by a monotonic-ized
-   elapsed-time accumulator, not an absolute gettimeofday target. The
-   stdlib's Unix has no clock_gettime(MONOTONIC) binding, and
-   gettimeofday is wall clock: an NTP step would either fire the
-   deadline spuriously (forward jump) or arm it forever (backward
-   jump against an absolute target). Accumulating only the positive
-   deltas between successive observations keeps a backward jump from
-   ever rewinding the budget; a forward jump still overcounts that
-   one interval, which errs on the side of stopping — the safe
-   direction for a guard rail. *)
 type t = {
   mutable fuel : int;  (* remaining; max_int means unlimited *)
   granted : int;  (* initial fuel allowance, for split/absorb accounting *)
   has_fuel_limit : bool;
-  allowance : float;  (* seconds of wall time granted; infinity = none *)
-  mutable elapsed : float;  (* positive-delta accumulated seconds *)
-  mutable last : float;  (* previous clock observation *)
+  allowance : float;  (* seconds granted from [start]; infinity = none *)
+  start : float;  (* [Clock.now] at creation *)
   interval : int;
-  mutable countdown : int;  (* ticks until the next wall-clock check *)
+  mutable countdown : int;  (* ticks until the next clock check *)
   mutable spent : reason option;  (* sticky *)
 }
 
@@ -30,8 +19,7 @@ let make ~fuel ~has_fuel_limit ~allowance ~interval =
     granted = fuel;
     has_fuel_limit;
     allowance;
-    elapsed = 0.;
-    last = (if allowance < infinity then Unix.gettimeofday () else 0.);
+    start = (if allowance < infinity then Clock.now () else 0.);
     interval = max 1 interval;
     countdown = max 1 interval;
     (* a zero allowance is spent from birth: waiting for the clock to
@@ -52,13 +40,8 @@ let unlimited () = create ()
 
 let check_clock b =
   b.countdown <- b.interval;
-  if b.allowance < infinity then begin
-    let now = Unix.gettimeofday () in
-    let dt = now -. b.last in
-    b.last <- now;
-    if dt > 0. then b.elapsed <- b.elapsed +. dt;
-    if b.elapsed > b.allowance then b.spent <- Some Deadline
-  end
+  if b.allowance < infinity && Clock.now () -. b.start > b.allowance then
+    b.spent <- Some Deadline
 
 let burn b n =
   match b.spent with
@@ -103,11 +86,15 @@ let remaining_fuel b = if b.has_fuel_limit then Some b.fuel else None
    parallel fuel accounting deterministic for any domain count. *)
 let split b ~parts =
   let parts = max 1 parts in
-  (* sync the parent's clock so the children's allowance reflects time
-     already spent; their own accumulators start from the fork *)
-  if b.allowance < infinity && b.spent = None then check_clock b;
+  (* the children are granted what remains of the parent's allowance,
+     counted from the fork; a parent found past its deadline is marked
+     spent, as a clock check would *)
   let allowance =
-    if b.allowance < infinity then Float.max 0. (b.allowance -. b.elapsed)
+    if b.allowance < infinity then begin
+      let left = b.allowance -. (Clock.now () -. b.start) in
+      if left < 0. && b.spent = None then b.spent <- Some Deadline;
+      Float.max 0. left
+    end
     else infinity
   in
   if not b.has_fuel_limit then

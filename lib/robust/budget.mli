@@ -9,12 +9,10 @@
     compare. Once a budget is exhausted it stays exhausted (sticky), so
     all stages sharing it stop promptly.
 
-    Deadlines are monotonic-safe: the allowance is drained by an
-    elapsed-time accumulator that ignores negative deltas between
-    successive [Unix.gettimeofday] observations (the stdlib has no
-    monotonic-clock binding), so an NTP step backwards can never arm a
-    deadline forever, and a step forwards at worst fires it early —
-    the safe direction for a guard rail. *)
+    Deadlines are measured on {!Clock}, which reads CLOCK_MONOTONIC: a
+    budget records its start and is past its deadline once more than
+    its allowance has elapsed since. A wall-clock step (NTP, a manual
+    [date]) neither fires a deadline early nor arms it forever. *)
 
 type reason =
   | Fuel  (** the deterministic operation counter ran out *)
@@ -61,8 +59,9 @@ val remaining_fuel : t -> int option
 val split : t -> parts:int -> t list
 (** [split b ~parts] divides [b]'s remaining fuel into [parts] equal
     shares (remainder going to the first children), each under [b]'s
-    remaining time allowance. [b] itself is unchanged (beyond a clock
-    sync) — charge the children's
+    remaining time allowance: the part of [b]'s allowance not yet
+    elapsed at the split. [b] itself is unchanged (beyond being marked
+    spent if its deadline has passed) — charge the children's
     consumption back with {!absorb} after the forked work joins. The
     share sizes depend only on [b]'s remaining fuel and [parts], so
     forked fuel accounting is deterministic for any domain count. *)

@@ -1,3 +1,4 @@
+module Clock = Smg_robust.Clock
 module Fault = Smg_robust.Fault
 module Retry = Smg_robust.Retry
 module Breaker = Smg_robust.Breaker
@@ -381,7 +382,7 @@ let with_running scfg f =
       raise e
 
 let run cfg =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   Option.iter
     (fun p -> try Sys.remove p with Sys_error _ -> ())
     cfg.c_journal;
@@ -513,7 +514,7 @@ let run cfg =
     r_recovery_ms = recovery_ms;
     r_recovery_ok = recovery_ok;
     r_drained = ref_drained && drained && rec_drained;
-    r_seconds = Unix.gettimeofday () -. t0;
+    r_seconds = Clock.now () -. t0;
   }
 
 let ok r =

@@ -38,7 +38,7 @@ let create () =
   {
     m_lock = Mutex.create ();
     m_eps = Hashtbl.create 8;
-    m_started = Unix.gettimeofday ();
+    m_started = Smg_robust.Clock.now ();
     m_inflight = Atomic.make 0;
     m_retries = Atomic.make 0;
     m_retry_ok = Atomic.make 0;
@@ -162,7 +162,7 @@ let to_json ?shards t ~scenarios =
     | [] -> "{}"
     | _ -> "{\n" ^ String.concat ",\n" (List.map ep names) ^ "\n }"
   in
-  let uptime = Unix.gettimeofday () -. t.m_started in
+  let uptime = Smg_robust.Clock.now () -. t.m_started in
   let s =
     Printf.sprintf
       "{\"uptime_s\": %.3f,\n \"inflight\": %d,\n \"scenarios\": %d,\n \

@@ -18,7 +18,6 @@ type entry = {
   en_source : Discover.side;
   en_target : Discover.side;
   en_corrs : Mapping.corr list;
-  en_created : float;
 }
 
 (* One cell per scenario name: the entry plus every cached artifact.
@@ -189,7 +188,6 @@ let put t ~name ~text =
                     en_source = source;
                     en_target = target;
                     en_corrs = doc.Ast.doc_corrs;
-                    en_created = Unix.gettimeofday ();
                   }
                 in
                 let cell = fresh_cell entry in
@@ -237,7 +235,6 @@ let preload_builtins t =
           en_source = scen.Scenario.source;
           en_target = scen.Scenario.target;
           en_corrs = corrs;
-          en_created = Unix.gettimeofday ();
         }
       in
       with_lock t.t_lock @@ fun () ->

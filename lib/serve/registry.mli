@@ -22,7 +22,6 @@ type entry = {
   en_source : Smg_core.Discover.side;
   en_target : Smg_core.Discover.side;
   en_corrs : Smg_cq.Mapping.corr list;
-  en_created : float;
 }
 
 type t

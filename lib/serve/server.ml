@@ -1,4 +1,5 @@
 module Budget = Smg_robust.Budget
+module Clock = Smg_robust.Clock
 module Diag = Smg_robust.Diag
 module Fault = Smg_robust.Fault
 module Retry = Smg_robust.Retry
@@ -83,7 +84,7 @@ let delta_key text =
    one. Builtins are never journaled: a journaled DELETE of one is
    replayed like any other op, after the preload. *)
 let recover reg met path =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   let ops, _clean = Journal.replay path in
   let apply op =
     let rec attempt n =
@@ -134,7 +135,7 @@ let recover reg met path =
   in
   List.iter warm names;
   Metrics.recovered met ~scenarios:(List.length names)
-    ~seconds:(Unix.gettimeofday () -. t0)
+    ~seconds:(Clock.now () -. t0)
 
 let create cfg =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -574,7 +575,7 @@ let safe_route t rq =
   match (rq.Http.rq_meth, rq.Http.rq_segments) with
   | Http.POST, [ "scenarios"; name; action ] ->
       let br = breaker_for t name in
-      (match Breaker.admit br ~now:(Unix.gettimeofday ()) with
+      (match Breaker.admit br ~now:(Clock.now ()) with
       | Breaker.Shed retry_after ->
           Metrics.breaker_shed t.met;
           answer ~retry_after action 503
@@ -587,7 +588,7 @@ let safe_route t rq =
           let before = Breaker.trips br in
           let aw = supervise t action (fun () -> route t rq) in
           if aw.aw_status = 500 then begin
-            Breaker.failure br ~now:(Unix.gettimeofday ());
+            Breaker.failure br ~now:(Clock.now ());
             if Breaker.trips br > before then Metrics.breaker_tripped t.met
           end
           else Breaker.success br;
@@ -667,7 +668,7 @@ let handle_conn t fd =
     let next = Http.next_request reader in
     (* timed from the request's arrival: on a keep-alive connection the
        read above also waits out the client's idle gap *)
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now () in
     match next with
     | Http.Eof -> ()
     | Http.Reject rj ->
@@ -677,7 +678,7 @@ let handle_conn t fd =
         Metrics.record t.met ~endpoint:"reject" ~status:rj.Http.rj_status
           ~bytes_in:(Http.bytes_in reader - before)
           ~bytes_out:(String.length resp)
-          ~seconds:(Unix.gettimeofday () -. t0)
+          ~seconds:(Clock.now () -. t0)
           ()
     | Http.Request rq ->
         let aw = safe_route t rq in
@@ -691,7 +692,7 @@ let handle_conn t fd =
           ?hit:aw.aw_hit ~exhausted:aw.aw_exhausted
           ~bytes_in:(Http.bytes_in reader - before)
           ~bytes_out:(String.length resp)
-          ~seconds:(Unix.gettimeofday () -. t0)
+          ~seconds:(Clock.now () -. t0)
           ();
         if keep then loop ()
   in

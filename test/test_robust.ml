@@ -380,9 +380,11 @@ let prop_pipeline_never_crashes =
       let budget =
         Budget.create ~deadline_ms ~fuel:(500 + rand 5_000) ()
       in
-      let t0 = Unix.gettimeofday () in
-      let o = Discover.discover_bounded ~budget ~source ~target ~corrs () in
-      let elapsed_ms = 1000. *. (Unix.gettimeofday () -. t0) in
+      let o, elapsed =
+        Smg_robust.Clock.time (fun () ->
+            Discover.discover_bounded ~budget ~source ~target ~corrs ())
+      in
+      let elapsed_ms = 1000. *. elapsed in
       (* generous slack: the point is "no unbounded overrun", checked at
          interval granularity, not hard real-time *)
       if elapsed_ms > deadline_ms +. 2_000. then
@@ -737,6 +739,24 @@ let test_budget_wall_allowance () =
         (Budget.ok c1 && Budget.ok c2)
   | _ -> Alcotest.fail "split arity"
 
+let test_budget_split_remainder () =
+  (* a child's allowance is what the parent has left at the split, not
+     the parent's full allowance: 600 ms granted, >= 300 ms spent, so a
+     child has <= 300 ms; it is alive at once (margin: the first sleep's
+     overshoot below 300 ms) and spent after another 400 ms, which the
+     full 600 ms would still cover (margins >= 100 ms each way) *)
+  let parent = Budget.create ~deadline_ms:600. ~interval:1 () in
+  Unix.sleepf 0.3;
+  match Budget.split parent ~parts:2 with
+  | [ c1; c2 ] ->
+      Alcotest.(check bool) "children alive right after the split" true
+        (Budget.ok c1 && Budget.ok c2);
+      Unix.sleepf 0.4;
+      Alcotest.(check bool) "spent past the remainder" false (Budget.ok c1);
+      Alcotest.(check bool) "by the deadline" true
+        (Budget.exhausted c1 = Some Budget.Deadline)
+  | _ -> Alcotest.fail "split arity"
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -748,6 +768,8 @@ let suite =
         Alcotest.test_case "unlimited" `Quick test_budget_unlimited;
         Alcotest.test_case "exceptions" `Quick test_budget_exn;
         Alcotest.test_case "wall allowance" `Quick test_budget_wall_allowance;
+        Alcotest.test_case "split hands on the remainder" `Quick
+          test_budget_split_remainder;
       ] );
     ( "robust.fault",
       [

@@ -439,8 +439,8 @@ let test_admission_control () =
           (* wait until the server has actually admitted the held
              connection *)
           let gauge = Metrics.inflight (Server.metrics srv) in
-          let deadline = Unix.gettimeofday () +. 5.0 in
-          while Atomic.get gauge < 1 && Unix.gettimeofday () < deadline do
+          let deadline = Smg_robust.Clock.now () +. 5.0 in
+          while Atomic.get gauge < 1 && Smg_robust.Clock.now () < deadline do
             Unix.sleepf 0.01
           done;
           Alcotest.(check int) "one connection admitted" 1 (Atomic.get gauge);
