@@ -194,9 +194,7 @@ let best_tgds (scen : Smg_eval.Scenario.t) =
           let best =
             Smg_cq.Mapping.rename case.Smg_eval.Scenario.case_name best
           in
-          if best.Smg_cq.Mapping.outer then
-            Smg_cq.Mapping.outer_variants ~target best
-          else [ Smg_cq.Mapping.to_tgd best ])
+          Smg_cq.Mapping.outer_variants ~target best)
     scen.Smg_eval.Scenario.cases
 
 (* the large fixture the hand-written domains cannot supply: a
@@ -225,11 +223,7 @@ let generated_fixture ~seed ~scale =
   with
   | [] -> failwith "no mapping discovered on the generated fixture"
   | best :: _ ->
-      ( p,
-        g,
-        if best.Smg_cq.Mapping.outer then
-          Smg_cq.Mapping.outer_variants ~target best
-        else [ Smg_cq.Mapping.to_tgd best ] )
+      (p, g, Smg_cq.Mapping.outer_variants ~target best)
 
 (* exchange-scale: the plan-based exchange engine vs the naive chase on
    the DBLP domain at increasing generated-source sizes. *)
@@ -718,10 +712,8 @@ let generate_matrix json smoke seed =
               | [] -> []
               | best :: _ ->
                   let best = Mapping.rename tbl best in
-                  if best.Mapping.outer then
-                    Mapping.outer_variants
-                      ~target:target.Smg_core.Discover.schema best
-                  else [ Mapping.to_tgd best ])
+                  Mapping.outer_variants
+                    ~target:target.Smg_core.Discover.schema best)
             per_case
         in
         let exch =

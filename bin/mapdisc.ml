@@ -291,10 +291,6 @@ let run_show file =
    scenario file with data blocks, or a built-in evaluation domain
    (--scenario) over a generated source of roughly --size tuples. *)
 
-let tgds_of_best ~target (best : Mapping.t) =
-  if best.Mapping.outer then Mapping.outer_variants ~target best
-  else [ Mapping.to_tgd best ]
-
 let exchange_file_inputs ~quiet file size seed =
   let doc, source, target = load file in
   let corrs = doc.Ast.doc_corrs in
@@ -340,7 +336,7 @@ let exchange_file_inputs ~quiet file size seed =
       if not quiet then Fmt.pr "Executing: %a@.@." Mapping.pp best;
       ( source.Discover.schema,
         target.Discover.schema,
-        tgds_of_best ~target:target.Discover.schema best,
+        Mapping.outer_variants ~target:target.Discover.schema best,
         src_inst,
         head,
         file )
@@ -614,7 +610,7 @@ let load_hop file =
         {
           Pipeline.h_source = source.Discover.schema;
           h_target = target.Discover.schema;
-          h_tgds = tgds_of_best ~target:target.Discover.schema best;
+          h_tgds = Mapping.outer_variants ~target:target.Discover.schema best;
         }
       in
       Fmt.pr "%s: %s (%d tgd(s))@." file best.Mapping.m_name
@@ -780,7 +776,7 @@ let run_generate seed isa_depth roots reify partof attrs density scale emit_dsl
         match o.Discover.o_mappings with
         | [] -> `No_map
         | best :: _ -> (
-            let tgds = tgds_of_best ~target:target.Discover.schema best in
+            let tgds = Mapping.outer_variants ~target:target.Discover.schema best in
             match
               Smg_exchange.Engine.run ~source:source.Discover.schema
                 ~target:target.Discover.schema ~mappings:tgds inst

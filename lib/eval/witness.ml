@@ -8,122 +8,89 @@ module Discover = Smg_core.Discover
 (* Deterministic pseudo-random stream (no Random: reproducibility). *)
 let mix seed i j = ((seed * 1103515245) + (i * 12345) + (j * 2654435761)) land 0x3FFFFFFF
 
-let repair_cap = 32
-
 let populate ?(rows_per_table = 4) ?(seed = 42) schema =
+  let n = max 0 rows_per_table in
   (* Pooled constants: the same small value domain is used for every
-     column, so natural joins and RIC references frequently hit. *)
+     column, so natural joins frequently hit. *)
   let pool k = Value.VString (Printf.sprintf "c%d" (k mod 7)) in
-  let base =
-    List.fold_left
-      (fun inst (t : Schema.table) ->
-        let header = Schema.column_names t in
-        let rec add inst i =
-          if i >= rows_per_table then inst
-          else begin
-            let row =
-              Array.of_list
-                (List.mapi
-                   (fun j c ->
-                     (* key columns get row-unique values, others pooled *)
-                     if List.mem c t.Schema.key then
-                       Value.VString
-                         (Printf.sprintf "k_%s_%d_%d" t.Schema.tbl_name i j)
-                     else pool (mix seed i j))
-                   header)
-            in
-            add (Instance.add_tuple inst t.Schema.tbl_name ~header row) (i + 1)
-          end
-        in
-        add inst 0)
-      Instance.empty schema.Schema.tables
-  in
-  (* Repair the RICs directly: for every dangling reference insert the
-     referenced row (labelled nulls outside the referenced columns),
-     probing a hash table of the referenced cells per RIC instead of
-     chasing the RIC tgds — the chase rescans every pair of rows per
-     round, which dominates generation at the sizes the exchange-scale
-     experiment uses. Inserted rows can dangle in turn, so rounds repeat
-     to a fixpoint, bounded twice: at most 10 rounds, and no insert once
-     the instance holds [repair_cap] times its base rows. A cycle of
-     RICs whose rows multiply each round (a generated schema grew 4.6×
-     per round to 10^7 tuples) then stops early with dangling
-     references left. The built-in domains, the committed scenarios and
-     the generator's documents end at most 12× their base rows (Mondial's
-     target at a few rows per table) at every size measured, 1 to 5000
-     rows per table, so the cap never binds on them. A repair row is new
-     to its relation — it holds a fresh null, or the probe has just
-     shown its referenced cells absent — so it is prepended without
-     [Instance.add_tuple]'s duplicate scan. *)
-  let col_pos header c =
+  let rows = Hashtbl.create 16 in
+  List.iter
+    (fun (t : Schema.table) ->
+      let header = Schema.column_names t in
+      Hashtbl.replace rows t.Schema.tbl_name
+        (Array.init n (fun i ->
+             Array.of_list
+               (List.mapi
+                  (fun j c ->
+                    (* key columns get row-unique values, others pooled *)
+                    if List.mem c t.Schema.key then
+                      Value.VString
+                        (Printf.sprintf "k_%s_%d_%d" t.Schema.tbl_name i j)
+                    else pool (mix seed i j))
+                  header))))
+    schema.Schema.tables;
+  (* Close every reference in one pass: each RIC overwrites its
+     from-cells in row [i] with the to-cells of parent row
+     [(i + offset) mod n], the offset seeded per RIC. A RIC runs after
+     every RIC that writes the cells it copies, so a key is final
+     before anything copies it (a cycle of such writes runs in
+     declaration order). Every table has [n] rows, so the rotation is
+     a bijection between parent and child rows: a key made of copied
+     keys stays unique, and a RIC cycle needs no new rows. *)
+  let col_pos (t : string) c =
     let rec go i = function
-      | [] -> invalid_arg ("witness: unknown column " ^ c)
+      | [] -> invalid_arg ("witness: unknown column " ^ t ^ "." ^ c)
       | c' :: rest -> if String.equal c c' then i else go (i + 1) rest
     in
-    go 0 header
+    go 0 (Schema.column_names (Schema.find_table_exn schema t))
   in
-  let limit = repair_cap * Instance.total_tuples base in
-  let size = ref (Instance.total_tuples base) in
-  let rec repair inst round =
-    if round >= 10 || !size >= limit then inst
-    else begin
-      let changed = ref false in
-      let inst' =
-        List.fold_left
-          (fun inst (r : Schema.ric) ->
-            let from_t = Schema.find_table_exn schema r.Schema.from_table in
-            let to_t = Schema.find_table_exn schema r.Schema.to_table in
-            let from_header = Schema.column_names from_t in
-            let to_header = Schema.column_names to_t in
-            let from_rel =
-              Instance.relation_or_empty inst r.Schema.from_table
-                ~header:from_header
-            in
-            let fpos = List.map (col_pos from_header) r.Schema.from_cols in
-            let tpos = List.map (col_pos to_header) r.Schema.to_cols in
-            let to_rel =
-              Instance.relation_or_empty inst r.Schema.to_table
-                ~header:to_header
-            in
-            let present = Hashtbl.create 64 in
-            List.iter
-              (fun tup ->
-                Hashtbl.replace present (List.map (fun p -> tup.(p)) tpos) ())
-              to_rel.Instance.tuples;
-            List.fold_left
-              (fun inst tup ->
-                let vals = List.map (fun p -> tup.(p)) fpos in
-                if Hashtbl.mem present vals || !size >= limit then inst
-                else begin
-                  changed := true;
-                  incr size;
-                  let row =
-                    Array.init (List.length to_header) (fun j ->
-                        let rec assoc tpos vals =
-                          match (tpos, vals) with
-                          | p :: _, v :: _ when p = j -> Some v
-                          | _ :: ps, _ :: vs -> assoc ps vs
-                          | _ -> None
-                        in
-                        match assoc tpos vals with
-                        | Some v -> v
-                        | None -> Value.fresh_null ())
-                  in
-                  Hashtbl.replace present vals ();
-                  let to_rel =
-                    Instance.relation_or_empty inst r.Schema.to_table
-                      ~header:to_header
-                  in
-                  Instance.set inst r.Schema.to_table
-                    { to_rel with Instance.tuples = row :: to_rel.Instance.tuples }
-                end)
-              inst from_rel.Instance.tuples)
-          inst schema.Schema.rics
+  let writes (k, (s : Schema.ric)) (k', (r : Schema.ric)) =
+    k <> k'
+    && String.equal s.Schema.from_table r.Schema.to_table
+    && List.exists (fun c -> List.mem c r.Schema.to_cols) s.Schema.from_cols
+  in
+  let rec order = function
+    | [] -> []
+    | pending -> (
+        match
+          List.partition
+            (fun r -> not (List.exists (fun s -> writes s r) pending))
+            pending
+        with
+        | [], r :: blocked -> r :: order blocked
+        | ready, blocked -> ready @ order blocked)
+  in
+  if n > 0 then
+    List.iter
+      (fun (k, (r : Schema.ric)) ->
+        let parents = Hashtbl.find rows r.Schema.to_table in
+        let fpos = List.map (col_pos r.Schema.from_table) r.Schema.from_cols in
+        let tpos = List.map (col_pos r.Schema.to_table) r.Schema.to_cols in
+        let offset = mix seed k n mod n in
+        Array.iteri
+          (fun i row ->
+            let parent = parents.((i + offset) mod n) in
+            List.iter2 (fun f t -> row.(f) <- parent.(t)) fpos tpos)
+          (Hashtbl.find rows r.Schema.from_table))
+      (order (List.mapi (fun k r -> (k, r)) schema.Schema.rics));
+  (* set semantics without [Instance.add_tuple]'s linear scan: only a
+     keyless table can repeat a row *)
+  List.fold_left
+    (fun inst (t : Schema.table) ->
+      let seen = Hashtbl.create n in
+      let keep acc row =
+        let k = Instance.tuple_key row in
+        if Hashtbl.mem seen k then acc
+        else (
+          Hashtbl.add seen k ();
+          row :: acc)
       in
-      if !changed then repair inst' (round + 1) else inst'
-    end
-  in
-  repair base 0
+      match Array.fold_left keep [] (Hashtbl.find rows t.Schema.tbl_name) with
+      | [] -> inst
+      | tuples ->
+          Instance.set inst t.Schema.tbl_name
+            { Instance.header = Schema.column_names t; tuples })
+    Instance.empty schema.Schema.tables
 
 (* Populated witnesses are pure functions of (schema, rows, seed), and
    both the CLI's FILE-witness path and the HTTP registry regenerate

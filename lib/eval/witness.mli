@@ -14,19 +14,17 @@ val populate :
   ?seed:int ->
   Smg_relational.Schema.t ->
   Smg_relational.Instance.t
-(** Generate an instance: each table is seeded with rows of pooled
-    constants (so joins have matches), then dangling references are
-    repaired round by round — each missing referenced row is inserted
-    with labelled nulls outside the referenced columns, probing a hash
-    table per RIC — so referential integrity holds. The repair stops
-    after 10 rounds, or once the instance holds {!repair_cap} times
-    its base rows: a cycle of RICs that multiplies rows each round is
-    then left with dangling references instead of growing without
-    bound. The result is a deterministic function of [seed] (default
-    42); keys hold because each row's key is distinct by construction. *)
-
-val repair_cap : int
-(** The repair's size bound, as a multiple of the base rows. *)
+(** Generate a ground instance that satisfies the schema's keys and
+    RICs, with exactly [rows_per_table] rows in every table. Row [i]
+    of a table holds row-unique key cells and pooled constants
+    ([c0]…[c6], so joins have matches) elsewhere. Then each RIC
+    overwrites its from-cells in row [i] with the to-cells of parent
+    row [(i + offset) mod rows_per_table], the offset seeded per RIC,
+    in one pass: a RIC runs after every RIC that writes the cells it
+    copies. Because every table has the same number of rows, the
+    rotation is a bijection, so keys stay unique, RIC cycles close
+    without new rows and no cell is a labelled null. The result is a
+    deterministic function of [seed] (default 42). *)
 
 val populate_cached :
   ?rows_per_table:int ->

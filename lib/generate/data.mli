@@ -1,11 +1,10 @@
 (** Seeded witness data that satisfies a schema's keys and RICs by
     construction, at 10²–10⁶-tuple scale.
 
-    {!Smg_eval.Witness.populate} generates then *repairs*, inserting
-    through [Instance.add_tuple]'s linear-scan dedup — quadratic, and
-    unusable at the 100k–1M-tuple sizes the parallel/scale benches need.
-    This module instead walks tables in reverse topological order of the
-    (acyclic) RIC graph and builds each relation as a plain list:
+    {!Smg_eval.Witness.populate} gives every table the same row count
+    and rotates parent rows into each reference. This module instead
+    walks tables in reverse topological order of the (acyclic) RIC
+    graph and builds each relation as a plain list:
 
     - foreign-key column groups that overlap the primary key draw
       *distinct* combinations of already-materialized parent key tuples

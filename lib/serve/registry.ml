@@ -142,10 +142,6 @@ let sides_of_doc (doc : Ast.t) =
             (mk "target" tgt_schema tgt_cm))
   | _ -> Error "a scenario needs exactly two schemas and two CMs"
 
-let tgds_of_best ~target (best : Mapping.t) =
-  if best.Mapping.outer then Mapping.outer_variants ~target best
-  else [ Mapping.to_tgd best ]
-
 let scenario_tgds (scen : Scenario.t) =
   let target = scen.Scenario.target in
   List.concat_map
@@ -154,7 +150,7 @@ let scenario_tgds (scen : Scenario.t) =
       | [] -> []
       | best :: _ ->
           let best = Mapping.rename case.Scenario.case_name best in
-          tgds_of_best ~target:target.Discover.schema best)
+          Mapping.outer_variants ~target:target.Discover.schema best)
     scen.Scenario.cases
 
 (* ---- registration ------------------------------------------------------ *)
@@ -294,7 +290,9 @@ let compute_tgds (entry : entry) =
       with
       | [] -> Error "no mapping discovered"
       | best :: _ ->
-          Ok (tgds_of_best ~target:entry.en_target.Discover.schema best))
+          Ok
+            (Mapping.outer_variants ~target:entry.en_target.Discover.schema
+               best))
 
 let entry_tgds t entry =
   match cell_of t entry with

@@ -46,10 +46,7 @@ let json_list f xs = "[" ^ String.concat ", " (List.map f xs) ^ "]"
 
 let json_candidate source target i (m : Mapping.t) =
   let tgd_str = Fmt.str "%a" Smg_cq.Dependency.pp_tgd (Mapping.to_tgd m) in
-  let exec =
-    if m.Mapping.outer then Mapping.outer_variants ~target m
-    else [ Mapping.to_tgd m ]
-  in
+  let exec = Mapping.outer_variants ~target m in
   let corr (c : Mapping.corr) =
     let st, sc = c.Mapping.c_src and tt, tc = c.Mapping.c_tgt in
     Printf.sprintf "{\"src\": %s, \"tgt\": %s}"

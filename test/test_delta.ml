@@ -685,10 +685,8 @@ let discovered_tgds g =
   with
   | [] -> []
   | best :: _ ->
-      if best.Smg_cq.Mapping.outer then
-        Smg_cq.Mapping.outer_variants
-          ~target:g.Gen.g_target.Smg_core.Discover.schema best
-      else [ Smg_cq.Mapping.to_tgd best ]
+      Smg_cq.Mapping.outer_variants
+        ~target:g.Gen.g_target.Smg_core.Discover.schema best
 
 (* Split the instance's tuples deterministically: every [k]-th tuple of
    each relation goes to the second component. *)

@@ -176,6 +176,19 @@ let test_witness_all_hits_agree () =
         (Smg_eval.Witness.check_scenario scen))
     (Smg_eval.Datasets.all ())
 
+(* Agreement on an empty answer set shows nothing: on ground witness
+   sources every one of the 34 matched cases returns answers. *)
+let test_witness_answers_nonempty () =
+  let verdicts =
+    List.concat_map Smg_eval.Witness.check_scenario (Smg_eval.Datasets.all ())
+  in
+  Alcotest.(check int) "matched cases" 34 (List.length verdicts);
+  List.iter
+    (fun v ->
+      if v.Smg_eval.Witness.w_benchmark = 0 then
+        Alcotest.failf "%s: no answers" v.Smg_eval.Witness.w_case)
+    verdicts
+
 let suite =
   [
     ( "eval.measures",
@@ -205,5 +218,7 @@ let suite =
         Alcotest.test_case "witnesses: hits agree with benchmarks" `Slow
           test_witness_all_hits_agree;
         Alcotest.test_case "witness determinism" `Quick test_witness_deterministic;
+        Alcotest.test_case "witness answers are non-empty" `Slow
+          test_witness_answers_nonempty;
       ] );
   ]

@@ -167,9 +167,7 @@ let fixture_tgds (g : Gen.t) =
   with
   | [] -> Alcotest.fail "no mapping discovered on the fixture"
   | best :: _ ->
-      if best.Mapping.outer then
-        Mapping.outer_variants ~target:g.Gen.g_target.Discover.schema best
-      else [ Mapping.to_tgd best ]
+      Mapping.outer_variants ~target:g.Gen.g_target.Discover.schema best
 
 let test_fixture_engine_vs_chase () =
   let g = Lazy.force fixture in

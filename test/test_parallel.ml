@@ -289,9 +289,7 @@ let dblp_engine_inputs =
                case
            with
            | [] -> []
-           | best :: _ ->
-               if best.Mapping.outer then Mapping.outer_variants ~target best
-               else [ Mapping.to_tgd best ])
+           | best :: _ -> Mapping.outer_variants ~target best)
          scen.Smg_eval.Scenario.cases
      in
      (source, target, mappings))

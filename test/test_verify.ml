@@ -236,6 +236,36 @@ let test_core_chain () =
           r.Instance.tuples
     | None -> false)
 
+(* Core folding depends on the homomorphism search being fail-first.
+   Component j is {p(N, c), q(M, c), r(N, M, dj)} beside a ground
+   r(aj, bj, dj), and nothing folds: no p or q fact holds aj or bj.
+   Fail-first expands the [r] atom first (one image), binds N and M to
+   aj and bj, and prunes at the [p] atom. Expanding left to right
+   instead tries every pair of [p] and [q] images before reaching [r]:
+   cubic in the component count, seconds rather than milliseconds at
+   this size. *)
+let test_core_fail_first () =
+  let k = 400 in
+  let vs s = Value.VString s in
+  let add name header tup i = Instance.add_tuple i name ~header tup in
+  let r = [ "x"; "y"; "d" ] in
+  let i =
+    List.fold_left
+      (fun i j ->
+        let d = vs (Printf.sprintf "d%d" j) in
+        i
+        |> add "p" [ "x"; "c" ] [| vn (2 * j); vs "c" |]
+        |> add "q" [ "y"; "c" ] [| vn ((2 * j) + 1); vs "c" |]
+        |> add "r" r [| vn (2 * j); vn ((2 * j) + 1); d |]
+        |> add "r" r
+             [| vs (Printf.sprintf "a%d" j); vs (Printf.sprintf "b%d" j); d |])
+      Instance.empty (List.init k Fun.id)
+  in
+  let c, elapsed = Smg_robust.Clock.time (fun () -> Icore.core i) in
+  Alcotest.(check int) "nothing folds" (4 * k) (Instance.total_tuples c);
+  if elapsed >= 2.0 then
+    Alcotest.failf "folding %d components took %.2f s (limit 2 s)" k elapsed
+
 let test_core_of_chase () =
   (* chase s(x,y) with s(x,y) -> ∃w1 w2. t(x,w1), t(x,w2): the canonical
      solution has two interchangeable nulls; its core has one tuple *)
@@ -335,6 +365,7 @@ let suite =
         t "keeps needed null" test_core_keeps_needed_null;
         t "null chain retracts" test_core_chain;
         t "core of chase" test_core_of_chase;
+        t "fail-first fold search (time guard)" test_core_fail_first;
       ] );
     ( "verify-props",
       [
