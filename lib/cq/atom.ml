@@ -57,4 +57,4 @@ let pp_term ppf = function
   | Cst v -> Value.pp ppf v
 
 let pp ppf a =
-  Fmt.pf ppf "%s(%a)" a.pred (Fmt.list ~sep:Fmt.comma pp_term) a.args
+  Fmt.pf ppf "@[<hov2>%s(%a)@]" a.pred (Fmt.list ~sep:Fmt.comma pp_term) a.args

@@ -82,13 +82,13 @@ let pp_tgd ppf t =
     | xs -> Fmt.pf ppf "∃%a. " (Fmt.list ~sep:Fmt.comma Fmt.string) xs
   in
   Fmt.pf ppf "@[<hov2>%s:@ %a@ →@ %a%a@]" t.tgd_name
-    (Fmt.list ~sep:(Fmt.any " ∧ ") Atom.pp)
+    (Fmt.list ~sep:(Fmt.any " ∧@ ") Atom.pp)
     t.lhs pp_ex ex
-    (Fmt.list ~sep:(Fmt.any " ∧ ") Atom.pp)
+    (Fmt.list ~sep:(Fmt.any " ∧@ ") Atom.pp)
     t.rhs
 
 let pp_egd ppf e =
   let x, y = e.eq in
   Fmt.pf ppf "@[<hov2>%s:@ %a@ →@ %s = %s@]" e.egd_name
-    (Fmt.list ~sep:(Fmt.any " ∧ ") Atom.pp)
+    (Fmt.list ~sep:(Fmt.any " ∧@ ") Atom.pp)
     e.elhs x y

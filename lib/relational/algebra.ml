@@ -247,19 +247,23 @@ let rec pp_pred ppf = function
   | Or (p, q) -> Fmt.pf ppf "(%a ∨ %a)" pp_pred p pp_pred q
   | Not p -> Fmt.pf ppf "¬%a" pp_pred p
 
-let rec pp ppf = function
+let rec pp_expr ppf = function
   | Table name -> Fmt.string ppf name
-  | Select (p, e) -> Fmt.pf ppf "σ[%a](%a)" pp_pred p pp e
+  | Select (p, e) -> Fmt.pf ppf "σ[%a](%a)" pp_pred p pp_expr e
   | Project (cols, e) ->
-      Fmt.pf ppf "π[%a](%a)" Fmt.(list ~sep:comma string) cols pp e
+      Fmt.pf ppf "π[%a](%a)" Fmt.(list ~sep:comma string) cols pp_expr e
   | Rename (pairs, e) ->
       Fmt.pf ppf "ρ[%a](%a)"
         Fmt.(
           list ~sep:comma (fun ppf (o, n) -> Fmt.pf ppf "%s→%s" o n))
-        pairs pp e
-  | Join (a, b) -> Fmt.pf ppf "(%a ⋈ %a)" pp a pp b
-  | Product (a, b) -> Fmt.pf ppf "(%a × %a)" pp a pp b
-  | Union (a, b) -> Fmt.pf ppf "(%a ∪ %a)" pp a pp b
-  | Diff (a, b) -> Fmt.pf ppf "(%a − %a)" pp a pp b
-  | LeftOuter (a, b) -> Fmt.pf ppf "(%a ⟕ %a)" pp a pp b
-  | FullOuter (a, b) -> Fmt.pf ppf "(%a ⟗ %a)" pp a pp b
+        pairs pp_expr e
+  | Join (a, b) -> Fmt.pf ppf "(%a@ ⋈ %a)" pp_expr a pp_expr b
+  | Product (a, b) -> Fmt.pf ppf "(%a@ × %a)" pp_expr a pp_expr b
+  | Union (a, b) -> Fmt.pf ppf "(%a@ ∪ %a)" pp_expr a pp_expr b
+  | Diff (a, b) -> Fmt.pf ppf "(%a@ − %a)" pp_expr a pp_expr b
+  | LeftOuter (a, b) -> Fmt.pf ppf "(%a@ ⟕ %a)" pp_expr a pp_expr b
+  | FullOuter (a, b) -> Fmt.pf ppf "(%a@ ⟗ %a)" pp_expr a pp_expr b
+
+(* one indenting box: a line broken inside the expression continues two
+   columns right of where the expression starts *)
+let pp ppf e = Fmt.pf ppf "@[<hov2>%a@]" pp_expr e

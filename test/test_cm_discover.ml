@@ -161,7 +161,9 @@ let shop_b =
 
 (* Every discovery above and in examples/ontology_alignment.ml, pinned
    as the MD5 of its ranked results: both queries, the exact score and
-   the covered correspondences, in rank order. *)
+   the covered correspondences, in rank order. Re-recorded when
+   [Atom.pp] boxed each atom: with whitespace removed, each text equals
+   the earlier one. *)
 let pinned_cases =
   [
     ( "functional pair",
@@ -171,7 +173,7 @@ let pinned_cases =
         c ~src:("Person", "pname") ~tgt:("Employee", "ename");
         c ~src:("Department", "dname") ~tgt:("Unit", "uname");
       ],
-      "6b8462eec3b30c97c7cbe79b5934798e" );
+      "5a29f5027e9a667d70c5785a2493293c" );
     ( "partOf disambiguation",
       onto_a,
       onto_b,
@@ -179,7 +181,7 @@ let pinned_cases =
         c ~src:("Department", "dname") ~tgt:("Unit", "uname");
         c ~src:("School", "sname") ~tgt:("Division", "divname");
       ],
-      "c5b0f8415a0bf8d2ef85c324ce36844a" );
+      "20d025dab1f027b1a9a0b9fa3f3c8e18" );
     ( "many-many pair",
       onto_a,
       onto_b,
@@ -187,7 +189,7 @@ let pinned_cases =
         c ~src:("Person", "pname") ~tgt:("Employee", "ename");
         c ~src:("Document", "doctitle") ~tgt:("Report", "rtitle");
       ],
-      "605ca5a79461582da18ab2653a379a44" );
+      "678f462b2549b229e405b8eabd59e464" );
     ( "no correspondences",
       onto_a,
       onto_b,
@@ -200,7 +202,7 @@ let pinned_cases =
         c ~src:("Customer", "custname") ~tgt:("Client", "clientname");
         c ~src:("Order", "odate") ~tgt:("Purchase", "pdate");
       ],
-      "2750b5c82c1262eda2c36f02b699df87" );
+      "b90f9232a21cc31eac0c98b4923fb349" );
     ( "product of a line item",
       shop_a,
       shop_b,
@@ -209,7 +211,7 @@ let pinned_cases =
         c ~src:("LineItem", "qty") ~tgt:("Entry", "amount");
         c ~src:("Order", "odate") ~tgt:("Purchase", "pdate");
       ],
-      "4e07c642ba39f432dc8137d51ca0fd81" );
+      "4844796b3fd9300bce29482113ba28a3" );
   ]
 
 let results_digest rs =

@@ -256,34 +256,38 @@ let test_side_requires_stree_per_table () =
    outer-join provenance line lost "(or optional participation)"; with
    the phrase put back their bodies hash to the earlier pins. amalgam, hotel and generated_mid reach the
    rewriting's 800-cover cap; with a cap of 799 the built-in hotel body
-   below changes, so the pins also hold which covers the cap keeps. *)
+   below changes, so the pins also hold which covers the cap keeps.
+   Every pin here was re-recorded when [Atom.pp] boxed each atom, tgds
+   broke between atoms and [Algebra.pp] gained an indenting box: with
+   whitespace removed, each body equals the earlier one. *)
 let scenario_digests =
   [
-    ("3sdb.smg", "5d142f9fb3de9b22e290c1adc9b2c125");
-    ("amalgam.smg", "6de388612f51e6c4adaa4b9cacc0cfbc");
-    ("books.smg", "ad246bde48566d2f2a1970271147e81f");
-    ("books_archive.smg", "79cbd749ac584be5eab4e37931056879");
-    ("dblp.smg", "0a4be40f22b622aece555a5341dc5d9f");
-    ("employees.smg", "f261bcb505dcc32e204930065724da1b");
-    ("generated_mid.smg", "622e6571cd718287e3b263bad8de7259");
-    ("hotel.smg", "128ea28cfa1a9a50904eeffa2b335562");
-    ("mondial.smg", "d9b7f3da5df0ad824012051f4f2e8ed8");
-    ("network.smg", "c6c3c43dd72770064947a76b30a2c64b");
-    ("ut.smg", "7b2b12606be5b9c644052c2d19fa5020");
+    ("3sdb.smg", "415a455eb426cd605371902c16c60f5e");
+    ("amalgam.smg", "a6f9f0d6790484c817f7249c612a9a50");
+    ("books.smg", "068daad2c50c8537fe00ae244edb849f");
+    ("books_archive.smg", "7902efa9972e80f4363d7f68cf4e097f");
+    ("dblp.smg", "b718deaf076e7e5f698ac93a4723e7b2");
+    ("employees.smg", "2352c45f575958e22777cdc186a3858f");
+    ("generated_mid.smg", "476ac62c36cfca27720614e2988e5e6a");
+    ("hotel.smg", "0e4cfa1ed62a8ab6e3dfd6f56500268d");
+    ("mondial.smg", "67e6cb5cfaaaebd2660fd676ddc1e66c");
+    ("network.smg", "d01b03dffda41ef15369ed20bb3891c6");
+    ("ut.smg", "93e276433539cee761cdfbc65ee030a1");
   ]
 
 (* MD5 of the served [POST /scenarios/NAME/discover?dedup=true] body of
    each preloaded built-in (every correspondence of its cases). amalgam
-   was re-recorded with the provenance phrase, as above. *)
+   was re-recorded with the provenance phrase, and all of them with the
+   atom and algebra boxes, as above. *)
 let builtin_digests =
   [
-    ("3sdb", "e1a02992bfa8481880e2be8fc38ad93a");
-    ("amalgam", "4547faed988dad273b53a5b2a77a9abc");
-    ("dblp", "b1e9e45d26f61d586472f45aa3df4e98");
-    ("hotel", "a8aa2c36a2a8c14d1f5afe315717e4e4");
-    ("mondial", "df40a741b75ded8726c961562574a5db");
-    ("network", "4d2479d3cef6c8d798489ff8d9b945c4");
-    ("ut", "952c5e011444a01d9d6444a927f00af4");
+    ("3sdb", "5309b9a32aa8806aad7f148bc73d8b66");
+    ("amalgam", "c743788c32319a12dad0a526c35cfb3b");
+    ("dblp", "6b69fc19357132613f74720bcbf3dd32");
+    ("hotel", "5e2d05393ac12d5ca579fd9bdf83f5e1");
+    ("mondial", "103f23b779e2879704d67c56a6412347");
+    ("network", "6a807f1179cdf41a47aa51f2636f3622");
+    ("ut", "1bbef48e360eec3d79e0982ef4a36009");
   ]
 
 let md5 s = Digest.to_hex (Digest.string s)
@@ -350,26 +354,27 @@ let pool_params =
 (* MD5 of [mapdisc discover LABEL.smg --json --dedup], run in the
    directory of [mapdisc generate ... --emit-dsl -o LABEL.smg] for each
    pool vector, recorded before the run-wide rewrite memo and the
-   selection over distinct covers. gen_s21 and gen_s22 are the heaviest
+   selection over distinct covers, and re-recorded with the atom and
+   algebra boxes as above. gen_s21 and gen_s22 are the heaviest
    rewriting inputs. *)
 let pool_digests =
   [
-    ("gen_s7_i0_r0_p0_c50_n200", "4ad1cccc2876d9decc42fca9abcebb1a");
-    ("gen_s8_i1_r0_p1_c63_n200", "6699f1d306fd8c96072ac0cb72090c04");
-    ("gen_s9_i2_r0_p2_c75_n200", "e82c32073598ae8ad5d2328db37667b9");
-    ("gen_s10_i3_r0_p0_c88_n200", "a868edad493295101fd5e5701a9e25f2");
-    ("gen_s11_i0_r1_p1_c100_n200", "c19eea35fad71828e6d78c877921600a");
-    ("gen_s12_i1_r1_p2_c50_n200", "bf0d4db02a173362cf46d1ce7cb0fab9");
-    ("gen_s13_i2_r1_p0_c63_n200", "10e685caab7d7b91c3165f412fac4595");
-    ("gen_s14_i3_r1_p1_c75_n200", "4744e88345669811a06a58ccac6ddbd4");
-    ("gen_s15_i0_r2_p2_c88_n200", "bfebd662506b4754169797a5cdf156d4");
-    ("gen_s16_i1_r2_p0_c100_n200", "2f35fa413ac7ede266014749cfb1990f");
-    ("gen_s17_i2_r2_p1_c50_n200", "5410aa8f8b1f2b52975d346bb4ea7c79");
-    ("gen_s18_i3_r2_p2_c63_n200", "93da2ec175cc8deaf04ff6df47d7c05c");
-    ("gen_s19_i0_r3_p0_c75_n200", "71e30cea7a02b8d4805403826a82213f");
-    ("gen_s20_i1_r3_p1_c88_n200", "948a121057ba703687afa5bdeefe82b2");
-    ("gen_s21_i2_r3_p2_c100_n200", "0c7238a59fc98cd7ab0707441f343dae");
-    ("gen_s22_i3_r3_p0_c50_n200", "c5927318b923eac651acbf7ef309e264");
+    ("gen_s7_i0_r0_p0_c50_n200", "2cb7345658ec158ba42adc388179e0c5");
+    ("gen_s8_i1_r0_p1_c63_n200", "e087c4dbf9d3db5ea3ad4b4b118ba465");
+    ("gen_s9_i2_r0_p2_c75_n200", "496a7ff6810947f93f938a563a9340ca");
+    ("gen_s10_i3_r0_p0_c88_n200", "b3b27595bc28c8f0dfc1bb1ef6aad6ef");
+    ("gen_s11_i0_r1_p1_c100_n200", "fdcf5f1783f5e9f909a3bd940c235ada");
+    ("gen_s12_i1_r1_p2_c50_n200", "1f2d009a2e8d2033b138851dae6e236e");
+    ("gen_s13_i2_r1_p0_c63_n200", "17b7ee08a7b342aad7fe38f93b6e6ca5");
+    ("gen_s14_i3_r1_p1_c75_n200", "3c869d7cb6df042a3e65d14be60da563");
+    ("gen_s15_i0_r2_p2_c88_n200", "99c4fc2530aeb1a7f3f9cba3098bdd11");
+    ("gen_s16_i1_r2_p0_c100_n200", "43d763df8918bbd405db6b9fd0d9d286");
+    ("gen_s17_i2_r2_p1_c50_n200", "7fad3d62602c5ddc782461ca24ba44fe");
+    ("gen_s18_i3_r2_p2_c63_n200", "824fe6860b8dffe51f01fa446ac550b8");
+    ("gen_s19_i0_r3_p0_c75_n200", "c19875eaec163b0d7d17d034a937d33a");
+    ("gen_s20_i1_r3_p1_c88_n200", "feb693301fb7434c717c242658f67480");
+    ("gen_s21_i2_r3_p2_c100_n200", "d9f07e0507d06df5db3ba428ab563094");
+    ("gen_s22_i3_r3_p0_c50_n200", "8ca15c5b895da77b5f79006041c085cf");
   ]
 
 let test_pool_digests () =
@@ -477,14 +482,15 @@ let test_csg_compatible () =
    memo across tasks may not move what a budget buys. Re-recorded when
    [Mapping.pp] boxed its queries: with whitespace removed (and the
    dropped provenance phrase put back into amalgam's) each text equals
-   the earlier one. *)
+   the earlier one; and again, whitespace-equal, when [Atom.pp] boxed
+   each atom. *)
 let bounded_digests =
   [
-    ("3sdb.smg", 20_000, false, "42e9730e601381b1c7d561a15a2d7bfe");
-    ("3sdb.smg", 100_000, false, "9e186abb6d10517318caa7aa527741f9");
-    ("3sdb.smg", 300_000, true, "db694f092cf26887aeaaac5610c81157");
-    ("amalgam.smg", 100_000, false, "bd0a7d3b9837a0c5676b9cfb44fe2690");
-    ("amalgam.smg", 300_000, true, "161fe9f30a6f1dcffc81cc84995b0e4c");
+    ("3sdb.smg", 20_000, false, "7b5efcff7e5d280e85d50b816eeaf7cc");
+    ("3sdb.smg", 100_000, false, "6a8f2e782cc98e50e65b260fabe984f2");
+    ("3sdb.smg", 300_000, true, "f7483e0eaac6e26beedbcf2ac67421e7");
+    ("amalgam.smg", 100_000, false, "b5bbad10721f5c3e4d55790bc9133445");
+    ("amalgam.smg", 300_000, true, "5402ae9559e0acfb1c65711f0140dc93");
   ]
 
 let test_bounded_domains () =
@@ -518,8 +524,9 @@ let test_bounded_domains () =
     bounded_digests
 
 (* The text report [mapdisc discover scenarios/books.smg] prints for the
-   semantic candidate: each query and the covers list break as a unit,
-   not at every comma. *)
+   semantic candidate: each query, the covers list, each atom of the tgd
+   and the source algebra break as a unit, not at every comma, and the
+   algebra's continuation lines are indented. *)
 let test_books_report () =
   let path = Filename.concat "scenarios" "books.smg" in
   let doc =
@@ -540,7 +547,18 @@ let test_books_report () =
   · Case A: target CSG is the s-tree of hasBookSoldAt
   · source connection: Person --writes_author⁻[0..*]--> writes, writes --writes_work[1..1]--> Book, Book --soldAt_item⁻[0..*]--> soldAt, soldAt --soldAt_store[1..1]--> Bookstore
   · target connection: hasBookSoldAt --hb_author[1..1]--> Author, hasBookSoldAt --hb_store[1..1]--> Bookstore|}
-        (Fmt.str "%a" Mapping.pp m)
+        (Fmt.str "%a" Mapping.pp m);
+      Alcotest.(check string) "tgd and source algebra lines"
+        {|   tgd: semantic: writes(v0, id:x4:0) ∧ soldAt(id:x4:0, v1) ∧
+          person(v0) ∧ bookstore(v1) → hasBookSoldAt(v0, v1)
+   source algebra: π[v1, v0]((((ρ[pname→v0, bid→id:x4:0](writes)
+                     ⋈ ρ[bid→id:x4:0, sid→v1](soldAt))
+                     ⋈ ρ[pname→v0](person))
+                     ⋈ ρ[sid→v1](bookstore)))|}
+        (Fmt.str "   tgd: %a@\n   source algebra: %a"
+           Smg_cq.Dependency.pp_tgd (Mapping.to_tgd m)
+           Smg_relational.Algebra.pp
+           (Mapping.src_algebra source.Discover.schema m))
   | ms -> Alcotest.failf "books: %d semantic candidates, expected 1" (List.length ms)
 
 let suite =
